@@ -28,6 +28,7 @@ from .geometry import (
 )
 from .formulas import (
     dt_invariant,
+    dt_table,
     hilbert_euler,
     hilbert_euler_direct,
     hilbert_euler_series,
@@ -37,7 +38,6 @@ from .formulas import (
     ideal_sheaf_euler_sequence,
     ideal_sheaf_hodge_series,
     moduli_dimension,
-    nested_euler_direct,
     nested_hodge_series,
 )
 from .localhom import (
@@ -87,9 +87,9 @@ __all__ = [
     "ideal_sheaf_euler_sequence",
     "ideal_sheaf_euler",
     "moduli_dimension",
+    "dt_table",
     "dt_invariant",
     "hilbert_euler_direct",
-    "nested_euler_direct",
     "ideal_sheaf_euler_direct",
     "Partition",
     "partitions_of",

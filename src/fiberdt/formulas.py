@@ -32,9 +32,9 @@ __all__ = [
     "ideal_sheaf_euler_sequence",
     "ideal_sheaf_euler",
     "moduli_dimension",
+    "dt_table",
     "dt_invariant",
     "hilbert_euler_direct",
-    "nested_euler_direct",
     "ideal_sheaf_euler_direct",
 ]
 
@@ -65,7 +65,7 @@ def _hilbert_hodge_series_cached(surface: HodgeDiamond, q_max: int) -> Truncated
     return series_product(_surface_factors(surface, q_max), q_max)
 
 
-def hilbert_hodge_series(surface: HodgeDiamond, q_max: int, *, threads: int = 1) -> TruncatedSeries:
+def hilbert_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
     """Hodge-polynomial series of the Hilbert schemes of points of a surface.
 
     The coefficient of q^m is e of the Hilbert scheme of m points; in
@@ -73,17 +73,12 @@ def hilbert_hodge_series(surface: HodgeDiamond, q_max: int, *, threads: int = 1)
     surface itself.
     """
     _require_surface(surface)
-    if threads > 1:
-        # Parallel expansion is bit-identical to the serial product, so the
-        # cache can be shared between the two paths.
-        result = series_product(_surface_factors(surface, q_max), q_max, threads=threads)
-        return result
     return _hilbert_hodge_series_cached(surface, q_max)
 
 
-def hilbert_euler_series(surface: HodgeDiamond, q_max: int, *, threads: int = 1) -> tuple[int, ...]:
+def hilbert_euler_series(surface: HodgeDiamond, q_max: int) -> tuple[int, ...]:
     """Euler specialization (s = t = 1) of :func:`hilbert_hodge_series`."""
-    return hilbert_hodge_series(surface, q_max, threads=threads).euler_sequence()
+    return hilbert_hodge_series(surface, q_max).euler_sequence()
 
 
 def hilbert_euler(surface: HodgeDiamond, m: int) -> int:
@@ -98,7 +93,7 @@ def _point_chain(q_max: int) -> TruncatedSeries:
     return series_factor(1, 1, 1, 1, q_max).q_shifted(1)
 
 
-def nested_hodge_series(surface: HodgeDiamond, q_max: int, *, threads: int = 1) -> TruncatedSeries:
+def nested_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
     """Hodge series of the nested Hilbert schemes (pairs of subschemes of
     lengths m and m + 1, one inside the other).
 
@@ -106,11 +101,11 @@ def nested_hodge_series(surface: HodgeDiamond, q_max: int, *, threads: int = 1) 
     the coefficient of q^(m+1) is the class of the (m, m+1) nested space.
     """
     _require_surface(surface)
-    kernel = hilbert_hodge_series(surface, q_max, threads=threads)
+    kernel = hilbert_hodge_series(surface, q_max)
     return _point_chain(q_max) * kernel.scaled(surface.e_polynomial())
 
 
-def ideal_sheaf_hodge_series(fibration: FibrationSpec, q_max: int, *, threads: int = 1) -> TruncatedSeries:
+def ideal_sheaf_hodge_series(fibration: FibrationSpec, q_max: int) -> TruncatedSeries:
     """Hodge series of the one-extra-point ideal-sheaf moduli spaces of the
     fibered 3-fold.
 
@@ -118,7 +113,7 @@ def ideal_sheaf_hodge_series(fibration: FibrationSpec, q_max: int, *, threads: i
     the total space; the coefficient of q^(m+1) is the class of the moduli
     space labelled m (m fiber curves plus one floating point).
     """
-    kernel = hilbert_hodge_series(fibration.base, q_max, threads=threads)
+    kernel = hilbert_hodge_series(fibration.base, q_max)
     return _point_chain(q_max) * kernel.scaled(fibration.e_polynomial())
 
 
@@ -145,24 +140,36 @@ def moduli_dimension(m: int) -> int:
     return 2 * m + 3
 
 
-def dt_invariant(fibration: FibrationSpec, m: int) -> int:
-    """Donaldson-Thomas number of the moduli space labelled m.
+def dt_table(fibration: FibrationSpec, m_max: int) -> tuple[tuple[int, int], ...]:
+    """(Euler number, Donaldson-Thomas number) of every moduli space labelled
+    0..m_max, all read off one ideal-sheaf series.
 
     Requires the trivial-canonical setting: base surface flagged K = 0,
-    elliptic fiber (genus 1) and vanishing beta.K, so the moduli space is
+    elliptic fiber (genus 1) and vanishing beta.K, so each moduli space is
     smooth with obstruction bundle dual to its tangent bundle and the
     invariant is (-1)^dim times the Euler number.
     """
     if not fibration.base_canonical_trivial:
         raise ValueError(
             "Donaldson-Thomas evaluation requires a base surface with trivial "
-            "canonical class (registry surfaces k3 or abelian)"
+            "canonical class (K = 0: registry surfaces k3 or abelian)"
         )
     if fibration.fiber_genus != 1:
         raise ValueError("Donaldson-Thomas evaluation requires an elliptic fiber (genus 1)")
     if fibration.beta_dot_kx != 0:
         raise ValueError("Donaldson-Thomas evaluation requires beta.K = 0")
-    return (-1) ** moduli_dimension(m) * ideal_sheaf_euler(fibration, m)
+    if m_max < 0:
+        raise ValueError("moduli label must be nonnegative")
+    euler = ideal_sheaf_euler_sequence(fibration, m_max + 1)
+    return tuple(
+        (euler[m + 1], (-1) ** moduli_dimension(m) * euler[m + 1]) for m in range(m_max + 1)
+    )
+
+
+def dt_invariant(fibration: FibrationSpec, m: int) -> int:
+    """Donaldson-Thomas number of the moduli space labelled m; see
+    :func:`dt_table` for the hypotheses."""
+    return dt_table(fibration, m)[-1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +216,13 @@ def hilbert_euler_direct(chi: int, q_max: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def nested_euler_direct(chi: int, q_max: int) -> tuple[int, ...]:
-    """Euler sequence of the nested series: q/(1-q) times chi times the
-    Hilbert product, all in integer arithmetic."""
-    prod = hilbert_euler_direct(chi, q_max)
-    out = [0] * (q_max + 1)
-    running = 0
-    for n in range(1, q_max + 1):
-        running += prod[n - 1]
-        out[n] = chi * running
-    return tuple(out)
-
-
 def ideal_sheaf_euler_direct(chi_total: int, chi_base: int, q_max: int) -> tuple[int, ...]:
     """Euler sequence of the ideal-sheaf series: q/(1-q) times the Euler
-    number of the 3-fold times the Hilbert product of the base surface."""
+    number of the 3-fold times the Hilbert product of the base surface.
+
+    With ``chi_total = chi_base`` this is the Euler sequence of the nested
+    series.
+    """
     prod = hilbert_euler_direct(chi_base, q_max)
     out = [0] * (q_max + 1)
     running = 0

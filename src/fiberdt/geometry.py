@@ -58,7 +58,7 @@ class HodgeDiamond:
         d = n - 1
         for i, row in enumerate(grid):
             for j, v in enumerate(row):
-                if not isinstance(v, int) or v < 0:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise InvalidDiamond(
                         "nonnegative integers", f"h^{{{i},{j}}} = {v!r}"
                     )

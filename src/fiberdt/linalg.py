@@ -65,13 +65,23 @@ def _primitive(vec: list[Fraction]) -> list[int]:
     return ints
 
 
-def nullspace(rows: Sequence[Sequence[int | Fraction]], n_cols: int) -> list[list[int]]:
+def nullspace(
+    rows: Sequence[Sequence[int | Fraction]],
+    n_cols: int,
+    *,
+    pivots: Sequence[int] | None = None,
+) -> list[list[int]]:
     """A basis of the right nullspace, as primitive integer vectors.
 
     One basis vector per free column of the reduced echelon form; with no
-    rows at all the result is the standard basis.
+    rows at all the result is the standard basis.  When ``pivots`` is given,
+    ``rows`` must already be a reduced echelon form with those pivot columns,
+    as returned by :func:`rref`, and no elimination is run.
     """
-    mat, pivots = rref(rows, n_cols)
+    if pivots is None:
+        mat, pivots = rref(rows, n_cols)
+    else:
+        mat = rows
     pivot_set = set(pivots)
     basis: list[list[int]] = []
     for free in range(n_cols):

@@ -76,7 +76,9 @@ class MonomialIdeal:
         if not self.gens:
             raise ValueError("a monomial ideal needs at least one generator")
         for g in self.gens:
-            if len(g) != 3 or any(not isinstance(e, int) or e < 0 for e in g):
+            if len(g) != 3 or any(
+                not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in g
+            ):
                 raise ValueError(f"generator {g!r} is not a triple of nonnegative integers")
         if self.minimal:
             for a in self.gens:
@@ -249,8 +251,9 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
         for u, c in entries.items():
             row[u] = c
         dense_rows.append(row)
-    null_basis = linalg.nullspace(dense_rows, n_unknowns)
-    rk = linalg.rank(dense_rows, n_unknowns)
+    reduced, pivots = linalg.rref(dense_rows, n_unknowns)
+    null_basis = linalg.nullspace(reduced, n_unknowns, pivots=pivots)
+    rk = len(pivots)
     if rk + len(null_basis) != n_unknowns:
         raise RuntimeError(
             f"rank {rk} plus nullity {len(null_basis)} does not account for "

@@ -14,7 +14,6 @@ values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -343,34 +342,18 @@ def series_factor(s_exp: int, t_exp: int, q_exp: int, exponent: int, q_max: int)
 
 
 def series_product(
-    factors: Iterable[tuple[int, int, int, int]],
-    q_max: int,
-    *,
-    threads: int = 1,
+    factors: Iterable[tuple[int, int, int, int]], q_max: int
 ) -> TruncatedSeries:
     """Product of ``series_factor`` over a list of (a, b, k, e) quadruples.
 
     Factors with k > q_max contribute 1 up to the truncation order and are
     skipped before expansion; this is what makes an infinite product finite.
-    With ``threads > 1`` the factor expansions run on a thread pool, but the
-    final reduction is always the same left-to-right product, so the result
-    is bit-identical regardless of thread count.
     """
-    kept: list[tuple[int, int, int, int]] = []
+    result = TruncatedSeries.one(q_max)
     for a, b, k, e in factors:
         if k < 1:
             raise ValueError("q exponent of a factor must be at least 1")
         if k > q_max or e == 0:
             continue
-        kept.append((a, b, k, e))
-    if threads > 1 and kept:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            expanded = list(
-                pool.map(lambda f: series_factor(f[0], f[1], f[2], f[3], q_max), kept)
-            )
-    else:
-        expanded = [series_factor(a, b, k, e, q_max) for a, b, k, e in kept]
-    result = TruncatedSeries.one(q_max)
-    for factor in expanded:
-        result = result * factor
+        result = result * series_factor(a, b, k, e, q_max)
     return result

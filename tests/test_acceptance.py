@@ -16,7 +16,6 @@ from fiberdt.formulas import (
     ideal_sheaf_euler_direct,
     ideal_sheaf_euler_sequence,
     ideal_sheaf_hodge_series,
-    nested_euler_direct,
     nested_hodge_series,
 )
 from fiberdt.geometry import (
@@ -109,7 +108,7 @@ def test_criterion_5_specialization_consistency():
             assert hilbert_euler_series(surface, q_max) == hilbert_euler_direct(chi, q_max)
             assert (
                 nested_hodge_series(surface, q_max).euler_sequence()
-                == nested_euler_direct(chi, q_max)
+                == ideal_sheaf_euler_direct(chi, chi, q_max)
             )
             for genus in GENERA:
                 fibration = FibrationSpec.from_surface_name(name, genus)

@@ -132,6 +132,14 @@ def test_series_invalid_surface_file_names_invariant(tmp_path, capsys):
     assert "conjugation symmetry" in err
 
 
+def test_series_surface_file_rejects_booleans(tmp_path, capsys):
+    path = tmp_path / "p2.json"
+    path.write_text('{"dim": 2, "h": [[true, 0, 0], [0, 1, 0], [0, 0, true]]}')
+    code, _, err = run(capsys, "series", "hilb", "--surface", str(path), "--qmax", "2")
+    assert code == 2
+    assert "nonnegative integers" in err
+
+
 def test_series_out_file(tmp_path, capsys):
     target = tmp_path / "series.csv"
     code, out, _ = run(
@@ -141,16 +149,6 @@ def test_series_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert serialize.series_from_csv(target.read_text()).q_max == 2
-
-
-def test_series_threads_identical(capsys):
-    serial = run(capsys, "series", "hilb", "--surface", "k3", "--qmax", "5", "--format", "json")
-    threaded = run(
-        capsys, "series", "hilb", "--surface", "k3", "--qmax", "5",
-        "--format", "json", "--threads", "4",
-    )
-    assert serial[0] == threaded[0] == 0
-    assert serial[1] == threaded[1]
 
 
 # --- cache ----------------------------------------------------------------------
@@ -183,6 +181,27 @@ def test_series_cache_corrupt_entry_recomputed(tmp_path, capsys):
     second = run(capsys, *argv)
     assert second[0] == 0
     assert first[1] == second[1]
+
+
+def test_series_cache_failed_rename_leaves_no_entry(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = (
+        "series", "hilb", "--surface", "p2", "--qmax", "3",
+        "--format", "json", "--cache", str(cache),
+    )
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("os.replace", failing_replace)
+        code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "rename failed" in err
+    assert list(cache.iterdir()) == []  # neither an entry nor a temp file
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert [p.suffix for p in cache.iterdir()] == [".json"]
 
 
 def test_series_cache_tampered_payload_fails_crosscheck(tmp_path, capsys):

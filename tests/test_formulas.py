@@ -11,7 +11,6 @@ from fiberdt.formulas import (
     ideal_sheaf_euler_sequence,
     ideal_sheaf_hodge_series,
     moduli_dimension,
-    nested_euler_direct,
     nested_hodge_series,
 )
 from fiberdt.geometry import FibrationSpec, curve_diamond, registry_lookup, surface_names
@@ -90,11 +89,6 @@ def test_hilbert_requires_surface():
         nested_hodge_series(registry_lookup("point"), 3)
 
 
-def test_hilbert_threads_bit_identical():
-    S = surface("k3")
-    assert hilbert_hodge_series(S, 6, threads=4) == hilbert_hodge_series(S, 6)
-
-
 # --- nested series -----------------------------------------------------------
 
 
@@ -169,7 +163,9 @@ def test_specialization_matches_direct_integer_routes():
         S = surface(name)
         chi = S.euler_number()
         assert hilbert_euler_series(S, q_max) == hilbert_euler_direct(chi, q_max)
-        assert nested_hodge_series(S, q_max).euler_sequence() == nested_euler_direct(chi, q_max)
+        assert nested_hodge_series(S, q_max).euler_sequence() == ideal_sheaf_euler_direct(
+            chi, chi, q_max
+        )
         for g in (0, 1, 2):
             fib = FibrationSpec.from_surface_name(name, g)
             assert ideal_sheaf_euler_sequence(fib, q_max) == ideal_sheaf_euler_direct(
@@ -235,12 +231,12 @@ def test_direct_route_negative_exponent():
 
 def test_direct_route_zero():
     assert hilbert_euler_direct(0, 4) == (1, 0, 0, 0, 0)
-    assert nested_euler_direct(0, 4) == (0, 0, 0, 0, 0)
+    assert ideal_sheaf_euler_direct(0, 0, 4) == (0, 0, 0, 0, 0)
 
 
 def test_direct_nested_prefix_sums():
     prod = hilbert_euler_direct(3, 5)
-    nested = nested_euler_direct(3, 5)
+    nested = ideal_sheaf_euler_direct(3, 3, 5)
     for n in range(1, 6):
         assert nested[n] == 3 * sum(prod[:n])
 

@@ -159,6 +159,12 @@ def test_negative_entry_rejected():
         HodgeDiamond([[1, -1], [-1, 1]])
 
 
+def test_boolean_entry_rejected():
+    # True == 1, but it would serialize as `true` and change cache keys.
+    with pytest.raises(InvalidDiamond, match="nonnegative integers"):
+        HodgeDiamond([[True, 0, 0], [0, 1, 0], [0, 0, True]])
+
+
 def test_non_square_rejected():
     with pytest.raises(InvalidDiamond, match="shape"):
         HodgeDiamond([[1, 0], [0]])

@@ -41,6 +41,12 @@ def test_nullspace_vectors_are_primitive_integers():
     assert basis == [[1, 1, -2]]
 
 
+def test_nullspace_of_a_reduced_matrix():
+    rows = [[3, 1, 0, 2], [0, 5, 1, 1], [3, 6, 1, 3]]
+    mat, pivots = rref(rows, 4)
+    assert nullspace(mat, 4, pivots=pivots) == nullspace(rows, 4)
+
+
 def test_nullspace_annihilates():
     rows = [[3, 1, 0, 2], [0, 5, 1, 1], [3, 6, 1, 3]]
     for vec in nullspace(rows, 4):

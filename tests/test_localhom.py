@@ -1,5 +1,6 @@
 import pytest
 
+from fiberdt import linalg
 from fiberdt.linalg import rank
 from fiberdt.localhom import (
     LINE_IDEAL,
@@ -26,6 +27,11 @@ def test_ideal_validation():
     MonomialIdeal(((1, 0, 0), (2, 0, 0)), minimal=False)
     with pytest.raises(ValueError, match="triple"):
         MonomialIdeal(((1, 0),))
+
+
+def test_ideal_rejects_boolean_exponents():
+    with pytest.raises(ValueError, match="triple"):
+        MonomialIdeal.from_json([[True, 0, 0], [0, 1, 0]])
 
 
 def test_ideal_json_round_trip():
@@ -126,6 +132,21 @@ def test_rank_plus_nullity():
     for ideal, d in ((LINE_IDEAL, 4), (LINE_WITH_EMBEDDED_POINT_IDEAL, 3), (POINT_IDEAL, 2)):
         solution = hom_dimension(ideal, d)
         assert solution.rank + solution.dimension == solution.n_unknowns
+
+
+def test_hom_dimension_eliminates_once(monkeypatch):
+    calls = []
+    rref = linalg.rref
+
+    def counting_rref(rows, n_cols):
+        calls.append(n_cols)
+        return rref(rows, n_cols)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    for ideal, d in ((LINE_IDEAL, 2), (LINE_WITH_EMBEDDED_POINT_IDEAL, 3)):
+        calls.clear()
+        hom_dimension(ideal, d)
+        assert len(calls) == 1, ideal
 
 
 def test_basis_maps_verify_and_are_independent():

@@ -1,6 +1,6 @@
 import pytest
 
-from fiberdt.formulas import hilbert_euler_direct, nested_euler_direct
+from fiberdt.formulas import hilbert_euler_direct, ideal_sheaf_euler_direct
 from fiberdt.oracles import (
     Partition,
     addable_boxes,
@@ -80,7 +80,7 @@ def test_nested_counts_basic():
 
 def test_nested_counts_match_product_series():
     for n in range(1, 5):
-        series = nested_euler_direct(n, 7)
+        series = ideal_sheaf_euler_direct(n, n, 7)
         for m in range(7):
             assert nested_colored_count(n, m) == series[m + 1], (n, m)
 

@@ -217,13 +217,6 @@ def test_series_product_skips_high_k():
     assert series_product(factors, 4) == series_factor(1, 1, 1, 2, 4)
 
 
-def test_series_product_threads_bit_identical():
-    factors = [(i, j, k, (-1) ** (i + j) * (i + j + 1)) for k in (1, 2, 3) for i in range(3) for j in range(3)]
-    serial = series_product(factors, 8)
-    threaded = series_product(factors, 8, threads=4)
-    assert serial == threaded
-
-
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 3), st.integers(-3, 3)), max_size=4))
 def test_series_product_swap_covariance(factors):
     q_max = 5
