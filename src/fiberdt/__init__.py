@@ -1,6 +1,6 @@
 """fiberdt: exact generating series and invariants for curve-fibered 3-folds.
 
-The package computes, in exact integer and rational arithmetic:
+The package computes, in exact integer arithmetic:
 
 * Hodge-polynomial and Euler generating series for Hilbert schemes of points
   on a surface, for nested Hilbert schemes, and for the one-extra-point
@@ -58,7 +58,6 @@ from .oracles import (
     addable_boxes,
     colored_partitions_count,
     nested_colored_count,
-    partitions_ascending,
     partitions_of,
 )
 from .polyseries import BivariatePolynomial, TruncatedSeries, series_factor, series_product
@@ -93,7 +92,6 @@ __all__ = [
     "ideal_sheaf_euler_direct",
     "Partition",
     "partitions_of",
-    "partitions_ascending",
     "addable_boxes",
     "colored_partitions_count",
     "nested_colored_count",

@@ -1,95 +1,94 @@
-"""Exact rational Gaussian elimination.
+"""Exact integer Gauss-Jordan elimination on sparse rows.
 
-Row reduction, rank and nullspace bases over the rationals, using
-``fractions.Fraction`` throughout.  Dimensions computed from these routines
-are exact integers; no floating point is involved.
+Rows are ``{column: int}`` maps or dense integer sequences.  Elimination is
+fraction-free: ``p*row - f*pivot_row``, then the row's content is divided out.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 __all__ = ["rref", "rank", "nullspace"]
 
+Rows = Sequence[Mapping[int, int] | Sequence[int]]
 
-def rref(rows: Sequence[Sequence[int | Fraction]], n_cols: int):
-    """Reduced row echelon form.
 
-    Returns (reduced rows, pivot column indices).  The input is not modified.
+def _normalize(row: dict[int, int]) -> dict[int, int]:
+    # Divide out the content, with the sign that makes the leftmost entry positive.
+    if not row:
+        return row
+    g = gcd(*row.values()) * (1 if row[min(row)] > 0 else -1)
+    return {c: x // g for c, x in row.items()} if g != 1 else row
+
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
+    # p*row - f*pivot_row, p > 0 and f the two entries in ``col`` over their gcd.
+    g = gcd(pivot_row[col], row[col])
+    p, f = pivot_row[col] // g, row[col] // g
+    out = {c: p * x for c, x in row.items()}
+    for c, x in pivot_row.items():
+        out[c] = out.get(c, 0) - f * x
+    return _normalize({c: x for c, x in out.items() if x})
+
+
+def rref(rows: Rows, n_cols: int):
+    """Reduced row echelon form over the integers.
+
+    Returns (reduced rows, pivot columns).  Each reduced row is a primitive
+    ``{column: int}`` map whose leftmost entry, in its pivot column, is
+    positive; no other row has an entry there.  The input is not modified.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    for row in mat:
-        if len(row) != n_cols:
-            raise ValueError(f"row of length {len(row)} in a {n_cols}-column matrix")
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    reduced: dict[int, dict[int, int]] = {}  # pivot column -> row
+    for row in rows:
+        if not isinstance(row, Mapping):
+            if len(row) != n_cols:
+                raise ValueError(f"row of length {len(row)} in a {n_cols}-column matrix")
+            row = dict(enumerate(row))
+        for c, x in row.items():
+            if type(x) is not int or type(c) is not int or not 0 <= c < n_cols:
+                raise ValueError(f"entry {x!r} at column {c!r} of a {n_cols}-column integer matrix")
+        row = _normalize({c: x for c, x in row.items() if x})
+        for c in [c for c in row if c in reduced]:
+            row = _eliminate(row, reduced[c], c)
+        if row:
+            pc = min(row)
+            for c, other in reduced.items():
+                if pc in other:
+                    reduced[c] = _eliminate(other, row, pc)
+            reduced[pc] = row
+    pivots = sorted(reduced)
+    return [reduced[c] for c in pivots], pivots
 
 
-def rank(rows: Sequence[Sequence[int | Fraction]], n_cols: int) -> int:
+def rank(rows: Rows, n_cols: int) -> int:
     return len(rref(rows, n_cols)[1])
 
 
-def _primitive(vec: list[Fraction]) -> list[int]:
-    # Scale a rational vector to a primitive integer vector with positive
-    # leading entry.
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ints
+def _primitive(free: int, touching, n_cols: int) -> list[int]:
+    # The kernel vector that is 1 in the free column, scaled by the lcm of
+    # the pivots of the rows touching it, made primitive with positive lead.
+    scale = lcm(1, *(p for _, p, _ in touching))
+    entries = {pc: -x * (scale // p) for pc, p, x in touching}
+    entries[free] = scale
+    vec = [0] * n_cols
+    for c, x in _normalize(entries).items():
+        vec[c] = x
+    return vec
 
 
-def nullspace(
-    rows: Sequence[Sequence[int | Fraction]],
-    n_cols: int,
-    *,
-    pivots: Sequence[int] | None = None,
-) -> list[list[int]]:
-    """A basis of the right nullspace, as primitive integer vectors.
-
-    One basis vector per free column of the reduced echelon form; with no
-    rows at all the result is the standard basis.  When ``pivots`` is given,
-    ``rows`` must already be a reduced echelon form with those pivot columns,
-    as returned by :func:`rref`, and no elimination is run.
+def nullspace(rows: Rows, n_cols: int, *, pivots: Sequence[int] | None = None) -> list[list[int]]:
+    """A basis of the right nullspace: per free column one primitive integer
+    vector with a positive leading entry (the standard basis if there are no
+    rows).  Given ``pivots``, ``rows`` must be the reduced form with those
+    pivot columns that :func:`rref` returns, and no elimination is run.
     """
     if pivots is None:
-        mat, pivots = rref(rows, n_cols)
-    else:
-        mat = rows
-    pivot_set = set(pivots)
-    basis: list[list[int]] = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][free]
-        basis.append(_primitive(vec))
-    return basis
+        rows, pivots = rref(rows, n_cols)
+    touching: dict[int, list[tuple[int, int, int]]] = {}  # column -> (pivot column, pivot, entry)
+    for pc, row in zip(pivots, rows):
+        for c, x in row.items():
+            if c != pc:
+                touching.setdefault(c, []).append((pc, row[pc], x))
+    free = sorted(set(range(n_cols)) - set(pivots))
+    return [_primitive(c, touching.get(c, ()), n_cols) for c in free]

@@ -19,7 +19,7 @@ the same curve carrying an embedded doubled point, cut out by
 (w1^2, w1 w2, w2^2, w1 w3, w2 w3).  Their truncated Hom dimensions are
 2 d_max + 2 and 10 + 2 d_max, a gap of 8 at fixed truncation; matching the
 two free w3-series families index by index shifts the untruncated gap to 10.
-All arithmetic is exact rational elimination.
+The sparse constraint rows are solved by exact integer elimination.
 """
 
 from __future__ import annotations
@@ -40,9 +40,16 @@ __all__ = [
     "LINE_IDEAL",
     "LINE_WITH_EMBEDDED_POINT_IDEAL",
     "POINT_IDEAL",
+    "SIZE_CAP",
 ]
 
 Monomial = tuple[int, int, int]
+
+# Bound on generators x (w1 box) x (w2 box) x (guard window depth) for one
+# Hom computation; it is checked from the exponents before anything is
+# enumerated.  The largest benchmark ideal, the (4,3,1) cylinder at
+# d_max = 12, needs 624.
+SIZE_CAP = 2000
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -94,6 +101,8 @@ class MonomialIdeal:
         """Build from a JSON list of exponent triples."""
         if not isinstance(triples, list):
             raise ValueError("ideal document must be a list of exponent triples")
+        if len(triples) > SIZE_CAP:
+            raise ValueError(f"{len(triples)} generators exceed the size cap {SIZE_CAP}")
         return cls(tuple(tuple(t) for t in triples))
 
     def to_json(self) -> list[list[int]]:
@@ -127,6 +136,17 @@ class TruncatedQuotient:
     basis: tuple[Monomial, ...]
 
 
+def _pure_powers(ideal: MonomialIdeal) -> tuple[int, int]:
+    """The smallest pure powers of w1 and w2 among the generators."""
+    pure1 = [g[0] for g in ideal.gens if g[1] == 0 and g[2] == 0]
+    pure2 = [g[1] for g in ideal.gens if g[0] == 0 and g[2] == 0]
+    if not pure1:
+        raise ValueError(f"quotient by {ideal} is unbounded in the w1 direction")
+    if not pure2:
+        raise ValueError(f"quotient by {ideal} is unbounded in the w2 direction")
+    return min(pure1), min(pure2)
+
+
 def standard_monomials(ideal: MonomialIdeal, d_max: int) -> TruncatedQuotient:
     """All standard monomials with w3-exponent at most ``d_max``.
 
@@ -137,13 +157,7 @@ def standard_monomials(ideal: MonomialIdeal, d_max: int) -> TruncatedQuotient:
     """
     if d_max < 0:
         raise ValueError("truncation degree must be nonnegative")
-    pure1 = [g[0] for g in ideal.gens if g[1] == 0 and g[2] == 0]
-    pure2 = [g[1] for g in ideal.gens if g[0] == 0 and g[2] == 0]
-    if not pure1:
-        raise ValueError(f"quotient by {ideal} is unbounded in the w1 direction")
-    if not pure2:
-        raise ValueError(f"quotient by {ideal} is unbounded in the w2 direction")
-    bound1, bound2 = min(pure1), min(pure2)
+    bound1, bound2 = _pure_powers(ideal)
     basis = []
     for z in range(d_max + 1):
         for total in range(bound1 + bound2 - 1):
@@ -234,24 +248,23 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
     Unknowns are the coefficients of the generator images over the truncated
     quotient basis; constraints come from every syzygy pair, evaluated with
     the guard band described in the module docstring.  The nullspace of the
-    resulting exact rational system is the answer.
+    resulting sparse integer system is the answer.  Ideals whose size
+    (generators x w1 box x w2 box x guard window depth) exceeds
+    :data:`SIZE_CAP` are rejected with a ValueError before any enumeration.
     """
-    quotient = standard_monomials(ideal, d_max)
     gens = ideal.gens
+    # The largest w3 cofactor exponent of any generator pair.
+    guard = max(g[2] for g in gens) - min(g[2] for g in gens)
+    bound1, bound2 = _pure_powers(ideal)
+    size = len(gens) * bound1 * bound2 * (d_max + guard + 1)
+    if size > SIZE_CAP:
+        raise ValueError(f"ideal size {size} at d_max {d_max} exceeds the cap {SIZE_CAP}")
+    quotient = standard_monomials(ideal, d_max)
     n_basis = len(quotient.basis)
     n_unknowns = len(gens) * n_basis
-    guard = 0
-    for (gi, gj), lcm in syzygy_pairs(ideal):
-        guard = max(guard, lcm[2] - gens[gi][2], lcm[2] - gens[gj][2])
     window = standard_monomials(ideal, d_max + guard)
-    sparse_rows = _constraint_rows(ideal, quotient, window)
-    dense_rows = []
-    for entries in sparse_rows:
-        row = [0] * n_unknowns
-        for u, c in entries.items():
-            row[u] = c
-        dense_rows.append(row)
-    reduced, pivots = linalg.rref(dense_rows, n_unknowns)
+    rows = _constraint_rows(ideal, quotient, window)
+    reduced, pivots = linalg.rref(rows, n_unknowns)
     null_basis = linalg.nullspace(reduced, n_unknowns, pivots=pivots)
     rk = len(pivots)
     if rk + len(null_basis) != n_unknowns:

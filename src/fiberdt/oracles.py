@@ -16,7 +16,6 @@ from typing import Iterator
 __all__ = [
     "Partition",
     "partitions_of",
-    "partitions_ascending",
     "addable_boxes",
     "weak_compositions",
     "colored_partitions_count",
@@ -65,33 +64,6 @@ def partitions_of(m: int) -> list[Partition]:
             prefix.pop()
 
     descend(m, m)
-    return out
-
-
-def partitions_ascending(m: int) -> list[Partition]:
-    """All partitions of m via ascending-composition iteration.
-
-    Independent of :func:`partitions_of`; used to cross-check that the
-    enumeration is duplicate-free and complete.
-    """
-    if m < 0:
-        raise ValueError("cannot partition a negative integer")
-    if m == 0:
-        return [Partition(())]
-    out: list[Partition] = []
-    a = [0] * (m + 1)
-    k = 1
-    a[1] = m
-    while k != 0:
-        x = a[k - 1] + 1
-        y = a[k] - 1
-        k -= 1
-        while x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        a[k] = x + y
-        out.append(Partition(tuple(sorted(a[: k + 1], reverse=True))))
     return out
 
 

@@ -318,6 +318,20 @@ def test_localhom_malformed_ideal_file(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_localhom_rejects_oversized_ideals_quickly(tmp_path, capsys):
+    # Each of these would enumerate or allocate for minutes without the size cap.
+    for name, gens, d_max in (
+        ("huge-box", [[1000000, 0, 0], [0, 1000000, 0]], "0"),
+        ("deep-guard", [[1, 0, 0], [0, 1, 0], [0, 0, 30000000]], "0"),
+        ("wide-box", [[12, 0, 0], [0, 12, 0]], "12"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(gens))
+        code, _, err = run(capsys, "localhom", "--dmax", d_max, "--ideal-file", str(path))
+        assert code == 2, name
+        assert "cap" in err, name
+
+
 # --- cross-check wiring ----------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from fiberdt.localhom import (
     LINE_IDEAL,
     LINE_WITH_EMBEDDED_POINT_IDEAL,
     POINT_IDEAL,
+    SIZE_CAP,
     MonomialIdeal,
     hom_dimension,
     standard_monomials,
@@ -197,6 +198,19 @@ def test_dimension_invariant_under_variable_swap():
             == hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, d).dimension
         )
     assert hom_dimension(MonomialIdeal(((0, 1, 0), (1, 0, 0))), 2).dimension == 6
+
+
+def test_size_cap_rejects_before_enumerating():
+    # generators x w1 box x w2 box x (d_max + guard + 1)
+    wide = MonomialIdeal(((12, 0, 0), (0, 12, 0)))
+    with pytest.raises(ValueError, match="cap"):
+        hom_dimension(wide, 12)  # 2 * 12 * 12 * 13 = 3744
+    assert hom_dimension(wide, 5).dimension == 2 * 144 * 6  # 1728, under the cap
+    deep = MonomialIdeal(((1, 0, 0), (0, 1, 0), (0, 0, 30000000)))
+    with pytest.raises(ValueError, match="cap"):
+        hom_dimension(deep, 0)
+    with pytest.raises(ValueError, match="generators"):
+        MonomialIdeal.from_json([[a, SIZE_CAP - a, 0] for a in range(SIZE_CAP + 1)])
 
 
 # --- tangent jump report ---------------------------------------------------------

@@ -6,10 +6,36 @@ from fiberdt.oracles import (
     addable_boxes,
     colored_partitions_count,
     nested_colored_count,
-    partitions_ascending,
     partitions_of,
     weak_compositions,
 )
+
+
+def partitions_ascending(m: int) -> list[Partition]:
+    """All partitions of m via ascending-composition iteration.
+
+    Independent of :func:`partitions_of`; used to cross-check that the
+    enumeration is duplicate-free and complete.
+    """
+    if m < 0:
+        raise ValueError("cannot partition a negative integer")
+    if m == 0:
+        return [Partition(())]
+    out: list[Partition] = []
+    a = [0] * (m + 1)
+    k = 1
+    a[1] = m
+    while k != 0:
+        x = a[k - 1] + 1
+        y = a[k] - 1
+        k -= 1
+        while x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        a[k] = x + y
+        out.append(Partition(tuple(sorted(a[: k + 1], reverse=True))))
+    return out
 
 
 def test_partition_validation():
