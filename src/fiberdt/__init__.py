@@ -60,14 +60,13 @@ from .oracles import (
     nested_colored_count,
     partitions_of,
 )
-from .polyseries import BivariatePolynomial, TruncatedSeries, series_factor, series_product
+from .polyseries import BivariatePolynomial, TruncatedSeries, series_product
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BivariatePolynomial",
     "TruncatedSeries",
-    "series_factor",
     "series_product",
     "HodgeDiamond",
     "InvalidDiamond",

@@ -29,13 +29,20 @@ from .geometry import (
 )
 from .localhom import MonomialIdeal, hom_dimension, tangent_jump_report
 
-__all__ = ["main", "build_parser", "Q_MAX_CAP", "D_MAX_CAP"]
+__all__ = ["main", "build_parser", "Q_MAX_CAP", "D_MAX_CAP", "HODGE_CAP"]
 
 # Caps bound the worst cases: the abelian surface at full truncation order
-# (`series hilb --surface abelian --qmax 50` takes about 74 s on a 2-core
+# (`series hilb --surface abelian --qmax 50` takes about 18 s on a 2-core
 # machine with Python 3.11) and the deepest elimination window.
 Q_MAX_CAP = 50
 D_MAX_CAP = 12
+# Bounds every h^{i,j} of a series surface and the fiber genus (h^{0,1} of the
+# fiber).  Each coefficient of the Hilbert product at q^m is then at most the
+# number of H-coloured partitions of m, H = sum of the h^{i,j} <= 9 * 10^6,
+# which is below (m (H + 1))^m, about 10^433 at m = 50.  The e-polynomial of
+# the 3-fold (coefficients summing to at most (2 + 2 g) H) and the point chain
+# add under 20 digits: far below the 4,300 digits Python converts to text.
+HODGE_CAP = 10**6
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,6 +197,8 @@ def _cmd_series(args) -> None:
         if args.genus is not None:
             raise UsageError("--genus applies only to im1 series")
         fibration = None
+    if max(max(row) for row in surface.grid) > HODGE_CAP or (args.genus or 0) > HODGE_CAP:
+        raise ValueError(f"Hodge numbers and --genus must not exceed the cap {HODGE_CAP}")
 
     series = _compute_series_cached(kind, surface, fibration, args.q_max, name, args.cache)
     _crosscheck_series(kind, surface, fibration, series)
@@ -205,7 +214,7 @@ def _cmd_series(args) -> None:
         elif args.format == "csv":
             text = serialize.euler_to_csv(values, kind=kind)
         else:
-            text = _euler_text(kind, name, values)
+            text = _series_text(kind, name, values, " euler")
     else:
         if args.format == "json":
             doc = serialize.series_to_document(
@@ -215,7 +224,7 @@ def _cmd_series(args) -> None:
         elif args.format == "csv":
             text = serialize.series_to_csv(series, kind=kind)
         else:
-            text = _series_text(kind, name, series)
+            text = _series_text(kind, name, series.coefficients, "")
     _emit(text, args.out)
 
 
@@ -225,17 +234,10 @@ def _series_label(kind: str, m: int) -> str:
     return f"q^{m}"
 
 
-def _series_text(kind: str, name: str | None, series) -> str:
-    lines = [f"# kind={kind} surface={name or 'custom'} q_max={series.q_max}"]
-    for m, poly in enumerate(series.coefficients):
-        lines.append(f"{_series_label(kind, m)}: {poly}")
-    return "\n".join(lines) + "\n"
-
-
-def _euler_text(kind: str, name: str | None, values) -> str:
-    lines = [f"# kind={kind} surface={name or 'custom'} q_max={len(values) - 1} euler"]
-    for m, v in enumerate(values):
-        lines.append(f"{_series_label(kind, m)}: {v}")
+def _series_text(kind: str, name: str | None, values, suffix: str) -> str:
+    lines = [f"# kind={kind} surface={name or 'custom'} q_max={len(values) - 1}{suffix}"]
+    for m, value in enumerate(values):
+        lines.append(f"{_series_label(kind, m)}: {value}")
     return "\n".join(lines) + "\n"
 
 

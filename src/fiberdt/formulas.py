@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb
 
 from .geometry import FibrationSpec, HodgeDiamond
-from .polyseries import TruncatedSeries, series_factor, series_product
+from .polyseries import BivariatePolynomial, TruncatedSeries, series_product
 
 __all__ = [
     "hilbert_hodge_series",
@@ -88,9 +88,10 @@ def hilbert_euler(surface: HodgeDiamond, m: int) -> int:
     return hilbert_euler_series(surface, m)[m]
 
 
-def _point_chain(q_max: int) -> TruncatedSeries:
-    # q / (1 - s t q): the coefficient of q^(n+1) is (s t)^n.
-    return series_factor(1, 1, 1, 1, q_max).q_shifted(1)
+def _extra_point_series(base: HodgeDiamond, e: BivariatePolynomial, q_max: int) -> TruncatedSeries:
+    # q / (1 - s t q) times e times the Hilbert-scheme product of the base.
+    factors = [(1, 1, 1, 1), *_surface_factors(base, q_max)]
+    return series_product(factors, q_max).q_shifted(1).scaled(e)
 
 
 def nested_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
@@ -101,8 +102,7 @@ def nested_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
     the coefficient of q^(m+1) is the class of the (m, m+1) nested space.
     """
     _require_surface(surface)
-    kernel = hilbert_hodge_series(surface, q_max)
-    return _point_chain(q_max) * kernel.scaled(surface.e_polynomial())
+    return _extra_point_series(surface, surface.e_polynomial(), q_max)
 
 
 def ideal_sheaf_hodge_series(fibration: FibrationSpec, q_max: int) -> TruncatedSeries:
@@ -113,8 +113,7 @@ def ideal_sheaf_hodge_series(fibration: FibrationSpec, q_max: int) -> TruncatedS
     the total space; the coefficient of q^(m+1) is the class of the moduli
     space labelled m (m fiber curves plus one floating point).
     """
-    kernel = hilbert_hodge_series(fibration.base, q_max)
-    return _point_chain(q_max) * kernel.scaled(fibration.e_polynomial())
+    return _extra_point_series(fibration.base, fibration.e_polynomial(), q_max)
 
 
 def ideal_sheaf_euler_sequence(fibration: FibrationSpec, q_max: int) -> tuple[int, ...]:

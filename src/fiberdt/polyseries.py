@@ -10,6 +10,11 @@ Polynomials are stored sparsely, as a map from exponent pairs to nonzero
 integers.  The map is kept in canonical form (zero coefficients are pruned
 eagerly), so structural equality of the maps is polynomial equality.  All
 values are immutable after construction and safe to share between threads.
+
+:func:`series_product` is the one engine for products of factors
+(1 - s^a t^b q^k) ** (-e) = sum of c_n (s^a t^b q^k)^n.  It applies each factor
+in place: for m from q_max down to k it adds c_n s^(an) t^(bn) times the
+coefficient of q^(m - nk) into that of q^m, so every read predates the factor.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from typing import Iterable, Mapping
 __all__ = [
     "BivariatePolynomial",
     "TruncatedSeries",
-    "series_factor",
     "series_product",
 ]
 
@@ -316,44 +320,40 @@ class TruncatedSeries:
     __repr__ = __str__
 
 
-def series_factor(s_exp: int, t_exp: int, q_exp: int, exponent: int, q_max: int) -> TruncatedSeries:
-    """Truncated expansion of (1 - s^a t^b q^k) ** (-e).
-
-    Here ``a, b, k, e`` are ``s_exp, t_exp, q_exp, exponent``; e may have
-    either sign.  The whole expansion lives in the single monomial
-    u = s^a t^b q^k, so each q-coefficient is a monomial with a binomial
-    coefficient in front, and the result is exact.
-    """
-    if q_exp < 1:
-        raise ValueError("q exponent of a factor must be at least 1")
-    if s_exp < 0 or t_exp < 0:
-        raise ValueError("factor exponents in s and t must be nonnegative")
-    coeffs = [_ZERO] * (q_max + 1)
-    coeffs[0] = BivariatePolynomial.one()
-    if exponent > 0:
-        for n in range(1, q_max // q_exp + 1):
-            c = comb(exponent - 1 + n, n)
-            coeffs[n * q_exp] = BivariatePolynomial.monomial(s_exp * n, t_exp * n, c)
-    elif exponent < 0:
-        for n in range(1, min(q_max // q_exp, -exponent) + 1):
-            c = comb(-exponent, n) * (-1 if n % 2 else 1)
-            coeffs[n * q_exp] = BivariatePolynomial.monomial(s_exp * n, t_exp * n, c)
-    return TruncatedSeries._raw(q_max, tuple(coeffs))
-
-
 def series_product(
     factors: Iterable[tuple[int, int, int, int]], q_max: int
 ) -> TruncatedSeries:
-    """Product of ``series_factor`` over a list of (a, b, k, e) quadruples.
+    """Product of (1 - s^a t^b q^k) ** (-e) over (a, b, k, e) quadruples.
 
-    Factors with k > q_max contribute 1 up to the truncation order and are
-    skipped before expansion; this is what makes an infinite product finite.
-    """
-    result = TruncatedSeries.one(q_max)
+    Every factor must have k >= 1 and a, b >= 0.  Those with k > q_max or e = 0
+    are 1 up to the truncation order and are skipped: an infinite product is
+    finite."""
+    if q_max < 0:
+        raise ValueError("truncation order must be nonnegative")
+    coeffs: list[dict[tuple[int, int], int]] = [{} for _ in range(q_max + 1)]
+    coeffs[0][(0, 0)] = 1
     for a, b, k, e in factors:
         if k < 1:
             raise ValueError("q exponent of a factor must be at least 1")
+        if a < 0 or b < 0:
+            raise ValueError("factor exponents in s and t must be nonnegative")
         if k > q_max or e == 0:
             continue
-        result = result * series_factor(a, b, k, e, q_max)
-    return result
+        n_max = q_max // k if e > 0 else min(q_max // k, -e)
+        steps = [
+            (n * k, a * n, b * n, comb(e - 1 + n, n) if e > 0 else (-1) ** n * comb(-e, n))
+            for n in range(1, n_max + 1)
+        ]
+        for m in range(q_max, k - 1, -1):
+            target = coeffs[m]
+            get = target.get
+            for shift, di, dj, c in steps:
+                if shift > m:
+                    break
+                for (i, j), v in coeffs[m - shift].items():
+                    key = (i + di, j + dj)
+                    target[key] = get(key, 0) + c * v
+    for terms in coeffs:
+        for key in [key for key, v in terms.items() if not v]:
+            del terms[key]
+    return TruncatedSeries._raw(q_max, tuple(BivariatePolynomial._raw(terms) for terms in coeffs))

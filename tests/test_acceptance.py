@@ -33,7 +33,7 @@ from fiberdt.localhom import (
 )
 from fiberdt.linalg import rank
 from fiberdt.oracles import colored_partitions_count, nested_colored_count
-from fiberdt.polyseries import TruncatedSeries, series_factor
+from fiberdt.polyseries import TruncatedSeries, series_product
 
 SURFACES = surface_names()
 GENERA = (0, 1, 2)
@@ -163,8 +163,8 @@ def test_criterion_7_invariant_suites():
         assert a * (b + c) == a * b + a * c
 
         # inverse-factor identity
-        for quad in ((1, 1, 1, 1), (0, 2, 2, 3), (2, 0, 1, -4), (3, 3, 2, 20)):
-            product = series_factor(*quad, 10) * series_factor(quad[0], quad[1], quad[2], -quad[3], 10)
+        for a, b, k, e in ((1, 1, 1, 1), (0, 2, 2, 3), (2, 0, 1, -4), (3, 3, 2, 20)):
+            product = series_product([(a, b, k, e)], 10) * series_product([(a, b, k, -e)], 10)
             assert product == TruncatedSeries.one(10)
 
         # solver accounting: rank + nullity = unknowns, verified basis maps

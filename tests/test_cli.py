@@ -1,4 +1,5 @@
 import json
+import time
 
 from fiberdt import cli, formulas, serialize
 from fiberdt.geometry import FibrationSpec, registry_lookup
@@ -138,6 +139,23 @@ def test_series_surface_file_rejects_booleans(tmp_path, capsys):
     code, _, err = run(capsys, "series", "hilb", "--surface", str(path), "--qmax", "2")
     assert code == 2
     assert "nonnegative integers" in err
+
+
+def test_series_rejects_oversized_hodge_numbers_quickly(tmp_path, capsys):
+    # Without the cap this runs for minutes and then fails to print a
+    # coefficient longer than 4,300 digits.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 2, "h": [[1, 0, 0], [0, 10**4200, 0], [0, 0, 1]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "series", "hilb", "--surface", str(path), "--qmax", "50")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "cap" in err
+    code, _, err = run(
+        capsys, "series", "im1", "--surface", "k3", "--genus", str(cli.HODGE_CAP + 1), "--qmax", "50"
+    )
+    assert code == 2
+    assert "cap" in err
 
 
 def test_series_out_file(tmp_path, capsys):

@@ -1,10 +1,12 @@
+import random
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiberdt.polyseries import (
     BivariatePolynomial,
     TruncatedSeries,
-    series_factor,
     series_product,
 )
 
@@ -164,35 +166,47 @@ def test_series_ring_axioms(triple):
 # --- factor expansion -------------------------------------------------------
 
 
+def hand_factor(a, b, k, e, q_max):
+    """(1 - s^a t^b q^k) ** (-e) written out term by term with math.comb."""
+    coeffs = [ZERO] * (q_max + 1)
+    coeffs[0] = ONE
+    n = 1
+    while n * k <= q_max:
+        c = comb(e - 1 + n, n) if e >= 0 else (-1) ** n * comb(-e, n)
+        coeffs[n * k] = BivariatePolynomial.monomial(a * n, b * n, c)
+        n += 1
+    return TruncatedSeries(q_max, coeffs)
+
+
 def test_series_factor_geometric():
-    f = series_factor(1, 1, 1, 1, 2)
+    f = series_product([(1, 1, 1, 1)], 2)
     assert f == TruncatedSeries(2, [ONE, ST, BivariatePolynomial.monomial(2, 2)])
 
 
 def test_series_factor_trivial_exponent():
-    assert series_factor(2, 3, 1, 0, 5) == TruncatedSeries.one(5)
+    assert series_product([(2, 3, 1, 0)], 5) == TruncatedSeries.one(5)
 
 
 def test_series_factor_above_truncation():
-    assert series_factor(1, 1, 7, 5, 6) == TruncatedSeries.one(6)
+    assert series_product([(1, 1, 7, 5)], 6) == TruncatedSeries.one(6)
 
 
 def test_series_factor_invalid_q_exponent():
     with pytest.raises(ValueError):
-        series_factor(1, 1, 0, 1, 4)
+        series_product([(1, 1, 0, 1)], 4)
 
 
 @pytest.mark.parametrize("a,b,k,e", [(1, 1, 1, 1), (0, 2, 2, 3), (2, 0, 1, -4), (1, 2, 3, -2)])
 def test_series_factor_inverse_pair(a, b, k, e):
     q_max = 8
-    product = series_factor(a, b, k, e, q_max) * series_factor(a, b, k, -e, q_max)
+    product = series_product([(a, b, k, e)], q_max) * series_product([(a, b, k, -e)], q_max)
     assert product == TruncatedSeries.one(q_max)
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 4), st.integers(-5, 5))
 def test_series_factor_inverse_pair_random(a, b, k, e):
     q_max = 6
-    product = series_factor(a, b, k, e, q_max) * series_factor(a, b, k, -e, q_max)
+    product = series_product([(a, b, k, e)], q_max) * series_product([(a, b, k, -e)], q_max)
     assert product == TruncatedSeries.one(q_max)
 
 
@@ -201,7 +215,53 @@ def test_series_product_empty():
 
 
 def test_series_product_single_factor():
-    assert series_product([(1, 1, 2, 3)], 6) == series_factor(1, 1, 2, 3, 6)
+    # (1 - s t q^2) ** -3 = 1 + 3 s t q^2 + 6 s^2 t^2 q^4 + 10 s^3 t^3 q^6
+    expected = TruncatedSeries(
+        6,
+        [ONE, ZERO, 3 * ST, ZERO, BivariatePolynomial.monomial(2, 2, 6), ZERO,
+         BivariatePolynomial.monomial(3, 3, 10)],
+    )
+    assert series_product([(1, 1, 2, 3)], 6) == expected
+    assert series_product([(1, 1, 2, 3)], 6) == hand_factor(1, 1, 2, 3, 6)
+
+
+def test_series_product_matches_generic_multiplication():
+    # Reference: the generic series product of factors expanded by hand.  The
+    # fixed cases pin |e| > q_max / k, k > q_max, e = 0, a repeated factor and
+    # a factor with its inverse; the seeded random lists mix all of them.
+    cases = [
+        ([(2, 1, 1, -9)], 4),
+        ([(2, 1, 6, -1), (1, 1, 1, 7), (0, 0, 1, 0)], 5),
+        ([(1, 0, 2, 3), (1, 0, 2, 3)], 6),
+        ([(1, 2, 1, 4), (1, 2, 1, -4)], 6),
+    ]
+    rng = random.Random(20240517)
+    for _ in range(300):
+        factors = [
+            (rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 9), rng.randint(-6, 6))
+            for _ in range(rng.randint(0, 5))
+        ]
+        if factors and rng.random() < 0.3:
+            factors.append(rng.choice(factors))
+        if factors and rng.random() < 0.3:
+            a, b, k, e = rng.choice(factors)
+            factors.append((a, b, k, -e))
+        cases.append((factors, rng.randint(0, 7)))
+    for factors, q_max in cases:
+        expected = TruncatedSeries.one(q_max)
+        for factor in factors:
+            expected = expected * hand_factor(*factor, q_max)
+        got = series_product(iter(factors), q_max)
+        assert got == expected, (factors, q_max)
+        for poly in got.coefficients:
+            assert 0 not in poly.terms.values()
+
+
+@pytest.mark.parametrize("factor", [(1, 1, -2, 1), (-1, 0, 1, 1), (0, -1, 1, 1), (-1, 0, 9, 1), (0, -1, 9, 0)])
+def test_series_product_rejects_invalid_factors(factor):
+    # Checked for every factor, also those above the truncation order.
+    with pytest.raises(ValueError):
+        series_product([(1, 1, 1, 1), factor], 4)
 
 
 def test_series_product_euler_chi_three():
@@ -214,7 +274,7 @@ def test_series_product_euler_chi_three():
 
 def test_series_product_skips_high_k():
     factors = [(1, 1, 1, 2), (1, 1, 99, 7)]
-    assert series_product(factors, 4) == series_factor(1, 1, 1, 2, 4)
+    assert series_product(factors, 4) == series_product([(1, 1, 1, 2)], 4)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 3), st.integers(-3, 3)), max_size=4))
