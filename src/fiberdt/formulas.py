@@ -89,9 +89,11 @@ def hilbert_euler(surface: HodgeDiamond, m: int) -> int:
 
 
 def _extra_point_series(base: HodgeDiamond, e: BivariatePolynomial, q_max: int) -> TruncatedSeries:
-    # q / (1 - s t q) times e times the Hilbert-scheme product of the base.
-    factors = [(1, 1, 1, 1), *_surface_factors(base, q_max)]
-    return series_product(factors, q_max).q_shifted(1).scaled(e)
+    # q / (1 - s t q) times e times the Hilbert-scheme product of the base;
+    # after the shift by q only the product's terms below q^q_max survive.
+    factors = [(1, 1, 1, 1), *_surface_factors(base, q_max - 1)]
+    product = series_product(factors, q_max - 1).coefficients if q_max else ()
+    return TruncatedSeries(q_max, [0, *product]).scaled(e)
 
 
 def nested_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:

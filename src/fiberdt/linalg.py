@@ -1,7 +1,8 @@
 """Exact integer Gauss-Jordan elimination on sparse rows.
 
-Rows are ``{column: int}`` maps or dense integer sequences.  Elimination is
-fraction-free: ``p*row - f*pivot_row``, then the row's content is divided out.
+Rows, reduced rows and kernel vectors are all ``{column: int}`` maps; no
+dense vector is ever built.  Elimination is fraction-free:
+``p*row - f*pivot_row``, then the row's content is divided out.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Mapping, Sequence
 
 __all__ = ["rref", "rank", "nullspace"]
 
-Rows = Sequence[Mapping[int, int] | Sequence[int]]
+Rows = Sequence[Mapping[int, int]]
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:
@@ -42,9 +43,7 @@ def rref(rows: Rows, n_cols: int):
     reduced: dict[int, dict[int, int]] = {}  # pivot column -> row
     for row in rows:
         if not isinstance(row, Mapping):
-            if len(row) != n_cols:
-                raise ValueError(f"row of length {len(row)} in a {n_cols}-column matrix")
-            row = dict(enumerate(row))
+            raise ValueError(f"row of type {type(row).__name__} is not a {{column: int}} map")
         for c, x in row.items():
             if type(x) is not int or type(c) is not int or not 0 <= c < n_cols:
                 raise ValueError(f"entry {x!r} at column {c!r} of a {n_cols}-column integer matrix")
@@ -65,23 +64,23 @@ def rank(rows: Rows, n_cols: int) -> int:
     return len(rref(rows, n_cols)[1])
 
 
-def _primitive(free: int, touching, n_cols: int) -> list[int]:
+def _primitive(free: int, touching) -> dict[int, int]:
     # The kernel vector that is 1 in the free column, scaled by the lcm of
     # the pivots of the rows touching it, made primitive with positive lead.
     scale = lcm(1, *(p for _, p, _ in touching))
     entries = {pc: -x * (scale // p) for pc, p, x in touching}
     entries[free] = scale
-    vec = [0] * n_cols
-    for c, x in _normalize(entries).items():
-        vec[c] = x
-    return vec
+    return _normalize(entries)
 
 
-def nullspace(rows: Rows, n_cols: int, *, pivots: Sequence[int] | None = None) -> list[list[int]]:
+def nullspace(
+    rows: Rows, n_cols: int, *, pivots: Sequence[int] | None = None
+) -> list[dict[int, int]]:
     """A basis of the right nullspace: per free column one primitive integer
-    vector with a positive leading entry (the standard basis if there are no
-    rows).  Given ``pivots``, ``rows`` must be the reduced form with those
-    pivot columns that :func:`rref` returns, and no elimination is run.
+    vector with a positive leading entry, as a ``{column: int}`` map of its
+    nonzero entries (the unit vectors if there are no rows).  Given
+    ``pivots``, ``rows`` must be the reduced form with those pivot columns
+    that :func:`rref` returns, and no elimination is run.
     """
     if pivots is None:
         rows, pivots = rref(rows, n_cols)
@@ -91,4 +90,4 @@ def nullspace(rows: Rows, n_cols: int, *, pivots: Sequence[int] | None = None) -
             if c != pc:
                 touching.setdefault(c, []).append((pc, row[pc], x))
     free = sorted(set(range(n_cols)) - set(pivots))
-    return [_primitive(c, touching.get(c, ()), n_cols) for c in free]
+    return [_primitive(c, touching.get(c, ())) for c in free]

@@ -19,7 +19,8 @@ the same curve carrying an embedded doubled point, cut out by
 (w1^2, w1 w2, w2^2, w1 w3, w2 w3).  Their truncated Hom dimensions are
 2 d_max + 2 and 10 + 2 d_max, a gap of 8 at fixed truncation; matching the
 two free w3-series families index by index shifts the untruncated gap to 10.
-The sparse constraint rows are solved by exact integer elimination.
+The sparse constraint rows are solved by exact integer elimination, and the
+kernel vectors and basis maps stay sparse: only nonzero entries are stored.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class HomSolution:
     """Solution of a truncated Hom computation.
 
     ``basis_maps[v][g]`` is the image of generator g under the v-th basis
-    homomorphism, as an integer coefficient vector over ``quotient.basis``.
+    homomorphism, as a sparse ``{index into quotient.basis: nonzero int}`` map.
     """
 
     ideal: MonomialIdeal
@@ -202,7 +203,7 @@ class HomSolution:
     dimension: int
     rank: int
     n_unknowns: int
-    basis_maps: tuple[tuple[tuple[int, ...], ...], ...]
+    basis_maps: tuple[tuple[dict[int, int], ...], ...]
 
 
 def _constraint_rows(
@@ -210,8 +211,10 @@ def _constraint_rows(
 ) -> list[dict[int, int]]:
     """Sparse constraint rows over the unknowns (gen index, basis index).
 
-    One row per (generator pair, extended-window monomial); entries are the
-    signed multiplicities with which an unknown lands on that monomial.
+    One row per (generator pair, extended-window monomial); an unknown of the
+    pair's first generator that lands on that monomial has entry 1, one of the
+    second has entry -1.  Multiplying by a cofactor is injective, so no
+    unknown lands twice and no entry cancels.
     Every surviving product monomial must fall inside the guard window, or
     the computation would silently lose a constraint.
     """
@@ -232,13 +235,8 @@ def _constraint_rows(
                     raise RuntimeError(
                         f"constraint monomial {_monomial_str(prod)} escapes the guard window"
                     )
-                entry = contributions.setdefault(prod, {})
-                unknown = g * n_basis + b
-                entry[unknown] = entry.get(unknown, 0) + sign
-        for prod in sorted(contributions):
-            entries = {u: c for u, c in contributions[prod].items() if c}
-            if entries:
-                rows.append(entries)
+                contributions.setdefault(prod, {})[g * n_basis + b] = sign
+        rows.extend(contributions[prod] for prod in sorted(contributions))
     return rows
 
 
@@ -272,10 +270,11 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
             f"rank {rk} plus nullity {len(null_basis)} does not account for "
             f"{n_unknowns} unknowns"
         )
-    basis_maps = tuple(
-        tuple(tuple(vec[g * n_basis: (g + 1) * n_basis]) for g in range(len(gens)))
-        for vec in null_basis
-    )
+    basis_maps = tuple(tuple({} for _ in gens) for _ in null_basis)
+    for images, vec in zip(basis_maps, null_basis):
+        for unknown, c in vec.items():
+            g, b = divmod(unknown, n_basis)
+            images[g][b] = c
     solution = HomSolution(
         ideal=ideal,
         d_max=d_max,
@@ -293,14 +292,12 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
 def _apply_map(ideal: MonomialIdeal, quotient: TruncatedQuotient, images, gen: int, mult: Monomial):
     """Multiply the image of one generator by a cofactor, in the quotient."""
     out: dict[Monomial, int] = {}
-    for mono, c in zip(quotient.basis, images[gen]):
-        if not c:
-            continue
+    for b, c in images[gen].items():
+        mono = quotient.basis[b]
         prod = (mono[0] + mult[0], mono[1] + mult[1], mono[2] + mult[2])
-        if ideal.contains_monomial(prod):
-            continue
-        out[prod] = out.get(prod, 0) + c
-    return {k: v for k, v in out.items() if v}
+        if not ideal.contains_monomial(prod):
+            out[prod] = c  # multiplying by a monomial is injective: no collisions
+    return out
 
 
 def verify_hom_solution(solution: HomSolution) -> bool:
@@ -308,16 +305,16 @@ def verify_hom_solution(solution: HomSolution) -> bool:
 
     Returns True when all constraints hold exactly.
     """
-    ideal = solution.ideal
-    quotient = solution.quotient
-    gens = ideal.gens
+    ideal, quotient = solution.ideal, solution.quotient
+    # Both cofactors of every syzygy pair, computed once for all basis maps.
+    sides = [
+        [(g, tuple(l - e for l, e in zip(lcm, ideal.gens[g]))) for g in pair]
+        for pair, lcm in syzygy_pairs(ideal)
+    ]
     for images in solution.basis_maps:
-        for (gi, gj), lcm in syzygy_pairs(ideal):
-            mult_i = tuple(l - e for l, e in zip(lcm, gens[gi]))
-            mult_j = tuple(l - e for l, e in zip(lcm, gens[gj]))
+        for (gi, mult_i), (gj, mult_j) in sides:
             lhs = _apply_map(ideal, quotient, images, gi, mult_i)
-            rhs = _apply_map(ideal, quotient, images, gj, mult_j)
-            if lhs != rhs:
+            if lhs != _apply_map(ideal, quotient, images, gj, mult_j):
                 return False
     return True
 

@@ -172,5 +172,9 @@ def test_criterion_7_invariant_suites():
             solution = hom_dimension(ideal, d)
             assert solution.rank + solution.dimension == solution.n_unknowns
             assert verify_hom_solution(solution)
-            flat = [[c for image in images for c in image] for images in solution.basis_maps]
+            n_basis = len(solution.quotient.basis)
+            flat = [
+                {g * n_basis + b: c for g, image in enumerate(images) for b, c in image.items()}
+                for images in solution.basis_maps
+            ]
             assert rank(flat, solution.n_unknowns) == solution.dimension

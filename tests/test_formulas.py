@@ -15,7 +15,7 @@ from fiberdt.formulas import (
 )
 from fiberdt.geometry import FibrationSpec, curve_diamond, registry_lookup, surface_names
 from fiberdt.oracles import colored_partitions_count, nested_colored_count
-from fiberdt.polyseries import BivariatePolynomial
+from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
 
 SURFACES = surface_names()
 
@@ -76,6 +76,33 @@ def test_hilbert_two_points_k3_hodge_numbers():
     assert hilbert_hodge_series(surface("k3"), 2).coefficient(2) == expected
 
 
+def betti_numbers(poly):
+    """b_k = (-1)^k times the sum of the coefficients of s^i t^j with i + j = k."""
+    top = max(i + j for i, j in poly.terms)
+    return [
+        (-1) ** k * sum(c for (i, j), c in poly.terms.items() if i + j == k)
+        for k in range(top + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, n, betti, euler",
+    [
+        # Ellingsrud-Stromme, Invent. Math. 87 (1987): even Betti numbers
+        # 1, 2, 3, 2, 1 of P2^[2] and 1, 2, 5, 6, 5, 2, 1 of P2^[3].
+        ("p2", 2, [1, 0, 2, 0, 3, 0, 2, 0, 1], 9),
+        ("p2", 3, [1, 0, 2, 0, 5, 0, 6, 0, 5, 0, 2, 0, 1], 22),
+        # Goettsche, Math. Ann. 286 (1990): K3^[3] and the abelian surface A^[2].
+        ("k3", 3, [1, 0, 23, 0, 299, 0, 2554, 0, 299, 0, 23, 0, 1], 3200),
+        ("abelian", 2, [1, 4, 13, 32, 44, 32, 13, 4, 1], 0),
+    ],
+)
+def test_hilbert_scheme_betti_numbers(name, n, betti, euler):
+    coefficient = hilbert_hodge_series(surface(name), n).coefficient(n)
+    assert betti_numbers(coefficient) == betti
+    assert coefficient.eval_one() == euler == sum((-1) ** k * b for k, b in enumerate(betti))
+
+
 def test_hilbert_euler_single_values():
     assert hilbert_euler(surface("p1xp1"), 0) == 1
     assert hilbert_euler(surface("p2"), 3) == 22
@@ -133,6 +160,31 @@ def test_ideal_sheaf_factorizes_through_nested_series():
                 curve_diamond(g).e_polynomial()
             )
             assert ideal_sheaf_hodge_series(fib, 5) == via_nested
+
+
+def extra_point_reference(base, e, q_max):
+    """q/(1 - s t q) times e times the Hilbert product of the base, by generic
+    series multiplication."""
+    chain = [0] + [BivariatePolynomial.monomial(n - 1, n - 1) for n in range(1, q_max + 1)]
+    return (
+        TruncatedSeries(q_max, [e])
+        * TruncatedSeries(q_max, chain)
+        * hilbert_hodge_series(base, q_max)
+    )
+
+
+@pytest.mark.parametrize("q_max", (0, 1, 2, 12))
+def test_extra_point_series_match_generic_multiplication(q_max):
+    for name in SURFACES:
+        S = surface(name)
+        assert nested_hodge_series(S, q_max) == extra_point_reference(
+            S, S.e_polynomial(), q_max
+        )
+        for g in (0, 1, 2):
+            fib = FibrationSpec.from_surface_name(name, g)
+            assert ideal_sheaf_hodge_series(fib, q_max) == extra_point_reference(
+                S, fib.e_polynomial(), q_max
+            )
 
 
 def test_ideal_sheaf_blowup_euler_identity():

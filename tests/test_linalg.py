@@ -47,6 +47,11 @@ def dense_fraction_nullspace(rows, n_cols):
     return basis
 
 
+def sparse(dense_rows):
+    """``{column: int}`` form of dense rows or vectors, nonzero entries only."""
+    return [{c: x for c, x in enumerate(row) if x} for row in dense_rows]
+
+
 def random_matrices(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
@@ -59,13 +64,13 @@ def random_matrices(seed, count):
 
 
 def test_rref_identity():
-    mat, pivots = rref([[1, 0], [0, 1]], 2)
+    mat, pivots = rref([{0: 1}, {1: 1}], 2)
     assert pivots == [0, 1]
     assert mat == [{0: 1}, {1: 1}]
 
 
 def test_rref_rational_pivot():
-    mat, pivots = rref([[2, 4], [1, 2]], 2)
+    mat, pivots = rref([{0: 2, 1: 4}, {0: 1, 1: 2}], 2)
     assert pivots == [0]
     assert mat[0] == {0: 1, 1: 2}
 
@@ -73,69 +78,72 @@ def test_rref_rational_pivot():
 def test_rejects_non_integer_entries():
     for entry in (Fraction(1, 2), Fraction(2), 1.0, True):
         with pytest.raises(ValueError, match="integer"):
-            rref([[1, entry]], 2)
+            rref([{0: 1, 1: entry}], 2)
         with pytest.raises(ValueError, match="integer"):
             nullspace([{0: entry}], 2)
     with pytest.raises(ValueError, match="column"):
         rank([{2: 1}], 2)
-    with pytest.raises(ValueError, match="length"):
-        rank([[1, 2, 3]], 2)
+    # Dense rows are not accepted: every row is a {column: int} map.
+    for row in ([1, 2], (1, 2), [1, 2, 3]):
+        with pytest.raises(ValueError, match="map"):
+            rank([row], 2)
 
 
 def test_rank():
     assert rank([], 3) == 0
-    assert rank([[0, 0, 0]], 3) == 0
-    assert rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3) == 2
+    assert rank([{}], 3) == 0
+    assert rank([{0: 0, 2: 0}], 3) == 0
+    assert rank(sparse([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), 3) == 2
 
 
 def test_nullspace_full():
-    assert nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_nullspace_trivial():
-    assert nullspace([[1, 0], [0, 1]], 2) == []
+    assert nullspace([{0: 1}, {1: 1}], 2) == []
 
 
 def test_nullspace_known_kernels():
     # Leading nonzero entries are normalized to be positive.
-    assert nullspace([[1, 2], [1, 2]], 2) == [[2, -1]]
-    assert nullspace([[1, 1], [2, 2]], 2) == [[1, -1]]
-    assert nullspace([[2, 2, 2], [3, 3, 3]], 3) == [[1, -1, 0], [1, 0, -1]]
+    assert nullspace([{0: 1, 1: 2}, {0: 1, 1: 2}], 2) == [{0: 2, 1: -1}]
+    assert nullspace([{0: 1, 1: 1}, {0: 2, 1: 2}], 2) == [{0: 1, 1: -1}]
+    assert nullspace(sparse([[2, 2, 2], [3, 3, 3]]), 3) == [{0: 1, 1: -1}, {0: 1, 2: -1}]
 
 
 def test_nullspace_vectors_are_primitive_integers():
-    basis = nullspace([[2, 0, 1], [0, 2, 1]], 3)
-    assert basis == [[1, 1, -2]]
+    basis = nullspace([{0: 2, 2: 1}, {1: 2, 2: 1}], 3)
+    assert basis == [{0: 1, 1: 1, 2: -2}]
 
 
 def test_nullspace_of_a_reduced_matrix():
-    rows = [[3, 1, 0, 2], [0, 5, 1, 1], [3, 6, 1, 3]]
+    rows = sparse([[3, 1, 0, 2], [0, 5, 1, 1], [3, 6, 1, 3]])
     mat, pivots = rref(rows, 4)
     assert nullspace(mat, 4, pivots=pivots) == nullspace(rows, 4)
 
 
 def test_nullspace_annihilates():
-    rows = [[3, 1, 0, 2], [0, 5, 1, 1], [3, 6, 1, 3]]
+    rows = sparse([[3, 1, 0, 2], [0, 5, 1, 1], [3, 6, 1, 3]])
     for vec in nullspace(rows, 4):
         for row in rows:
-            assert sum(r * v for r, v in zip(row, vec)) == 0
+            assert sum(x * vec.get(c, 0) for c, x in row.items()) == 0
 
 
 def test_matches_dense_fraction_reference():
     for rows, n_cols in random_matrices(seed=20, count=400):
-        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
         expected_mat, expected_pivots = dense_fraction_rref(rows, n_cols)
-        expected = dense_fraction_nullspace(rows, n_cols)
-        for form in (rows, sparse):
-            assert rank(form, n_cols) == len(expected_pivots)
-            assert nullspace(form, n_cols) == expected
-            mat, pivots = rref(form, n_cols)
-            assert pivots == expected_pivots
-            for row, pc, reference in zip(mat, pivots, expected_mat):
-                assert gcd(*row.values()) == 1 and row[pc] > 0
-                assert [Fraction(row.get(c, 0), row[pc]) for c in range(n_cols)] == reference
-        for vec in nullspace(sparse, n_cols):
-            assert gcd(*vec) == 1
-            assert next(v for v in vec if v) > 0
+        expected = sparse(dense_fraction_nullspace(rows, n_cols))
+        sparse_rows = sparse(rows)
+        assert rank(sparse_rows, n_cols) == len(expected_pivots)
+        assert nullspace(sparse_rows, n_cols) == expected
+        mat, pivots = rref(sparse_rows, n_cols)
+        assert pivots == expected_pivots
+        for row, pc, reference in zip(mat, pivots, expected_mat):
+            assert gcd(*row.values()) == 1 and row[pc] > 0
+            assert [Fraction(row.get(c, 0), row[pc]) for c in range(n_cols)] == reference
+        for vec in nullspace(sparse_rows, n_cols):
+            assert all(vec.values())
+            assert gcd(*vec.values()) == 1
+            assert vec[min(vec)] > 0
             for row in rows:
-                assert sum(r * v for r, v in zip(row, vec)) == 0
+                assert sum(r * vec.get(c, 0) for c, r in enumerate(row)) == 0

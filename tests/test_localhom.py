@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import Counter
+
 import pytest
 
 from fiberdt import linalg
@@ -153,8 +156,9 @@ def test_hom_dimension_eliminates_once(monkeypatch):
 def test_basis_maps_verify_and_are_independent():
     solution = hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 2)
     assert verify_hom_solution(solution)
+    n_basis = len(solution.quotient.basis)
     flat = [
-        [c for image in images for c in image]
+        {g * n_basis + b: c for g, image in enumerate(images) for b, c in image.items()}
         for images in solution.basis_maps
     ]
     assert rank(flat, solution.n_unknowns) == solution.dimension
@@ -172,9 +176,9 @@ def test_embedded_point_solution_shape():
     w3_idx = basis.index((0, 0, 1))
     for images in solution.basis_maps:
         for gen_image in images:
-            assert gen_image[const_idx] == 0
+            assert gen_image.get(const_idx, 0) == 0
         for gen in (0, 1, 2):  # images of w1^2, w1 w2, w2^2
-            assert images[gen][w3_idx] == 0
+            assert images[gen].get(w3_idx, 0) == 0
 
 
 def test_dimension_invariant_under_generator_permutation():
@@ -198,6 +202,62 @@ def test_dimension_invariant_under_variable_swap():
             == hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, d).dimension
         )
     assert hom_dimension(MonomialIdeal(((0, 1, 0), (1, 0, 0))), 2).dimension == 6
+
+
+def test_box_ideal_peak_memory():
+    # 1980 unknowns, rank 0: every kernel vector is a single entry, so sparse
+    # kernel vectors and basis maps stay small (dense ones took about 63 MB).
+    box = MonomialIdeal(((9, 0, 0), (0, 10, 0)))
+    tracemalloc.start()
+    try:
+        solution = hom_dimension(box, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solution.dimension == solution.n_unknowns == 1980
+    assert peak < 8 * 2**20
+
+
+def cylinder_generators(parts):
+    """Generators of I_lambda C[w1, w2, w3]: row y of the partition holds
+    the boxes w1^x w2^y with x < parts[y]."""
+    gens = [(parts[0], 0, 0)]
+    gens += [(parts[y], y, 0) for y in range(1, len(parts)) if parts[y] < parts[y - 1]]
+    return tuple(gens) + ((0, len(parts), 0),)
+
+
+def arm_leg_character(parts, d_max):
+    """Sum over boxes of (t1^-(a+1) t2^l + t1^a t2^-(l+1)) (1 + t3 + ... + t3^D),
+    as a multiset of weights."""
+    conjugate = [sum(1 for p in parts if p > x) for x in range(parts[0])]
+    weights = Counter()
+    for y, width in enumerate(parts):
+        for x in range(width):
+            arm, leg = width - x - 1, conjugate[x] - y - 1
+            for k in range(d_max + 1):
+                weights[(-(arm + 1), leg, k)] += 1
+                weights[(arm, -(leg + 1), k)] += 1
+    return weights
+
+
+@pytest.mark.parametrize("d", (0, 3))
+@pytest.mark.parametrize("parts", ((1,), (2, 1), (3, 1), (2, 2), (4, 3, 1), (5, 2, 2, 1)))
+def test_cylinder_arm_leg_character(parts, d):
+    # The torus character of Hom(I, O/I) for a cylinder over a partition is
+    # given by arms and legs (Nakajima, Lectures on Hilbert Schemes, Prop. 5.8),
+    # with no elimination involved.  Entry (g, b) has weight basis[b] - gens[g].
+    solution = hom_dimension(MonomialIdeal(cylinder_generators(parts)), d)
+    basis, gens = solution.quotient.basis, solution.ideal.gens
+    character = Counter()
+    for images in solution.basis_maps:
+        weights = {
+            tuple(m - e for m, e in zip(basis[b], gens[g]))
+            for g, image in enumerate(images)
+            for b in image
+        }
+        assert len(weights) == 1, weights  # every basis map is weight-homogeneous
+        character.update(weights)
+    assert character == arm_leg_character(parts, d)
 
 
 def test_size_cap_rejects_before_enumerating():
