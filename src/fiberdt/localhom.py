@@ -229,9 +229,11 @@ def _constraint_rows(
             mult = tuple(l - e for l, e in zip(lcm, gens[g]))
             for b, mono in enumerate(basis):
                 prod = (mono[0] + mult[0], mono[1] + mult[1], mono[2] + mult[2])
-                if ideal.contains_monomial(prod):
-                    continue
                 if prod not in window_set:
+                    # Window monomials are standard, so only an outside
+                    # product needs the ideal test: in the ideal it is zero.
+                    if ideal.contains_monomial(prod):
+                        continue
                     raise RuntimeError(
                         f"constraint monomial {_monomial_str(prod)} escapes the guard window"
                     )

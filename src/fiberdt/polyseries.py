@@ -15,6 +15,22 @@ values are immutable after construction and safe to share between threads.
 (1 - s^a t^b q^k) ** (-e) = sum of c_n (s^a t^b q^k)^n.  It applies each factor
 in place: for m from q_max down to k it adds c_n s^(an) t^(bn) times the
 coefficient of q^(m - nk) into that of q^m, so every read predates the factor.
+
+The engine is Kronecker-packed (Harvey, J. Symbolic Comput. 44, 2009): each
+q-coefficient is one Python int, the sum of c_ij 2^(B slot(i, j)), so that
+multiplying by s^(an) t^(bn) is a left shift and the recurrence above runs on
+plain ints.  The layout follows from the factors:
+
+* diagonal, when every kept factor has a = b: slot(i, i) = i;
+* box otherwise: slot(i, j) = j + W i, where W - 1 bounds every t-degree of
+  the result (the largest q_max b / k, which is 2 q_max for surface
+  factors).  Slots run in sorted (i, j) order.
+
+The slot width B is the bit length of 2 M + 1 rounded up to whole bytes, with
+M the largest coefficient up to q^q_max of the product of (1 - q^k) ** (-|e|)
+over the same factors; M bounds every |c_ij| of the result.  Decoding adds
+2^(B-1) to every slot, calls ``int.to_bytes`` once and reads each byte-aligned
+slot back less 2^(B-1), which handles negative coefficients.
 """
 
 from __future__ import annotations
@@ -330,30 +346,75 @@ def series_product(
     finite."""
     if q_max < 0:
         raise ValueError("truncation order must be nonnegative")
-    coeffs: list[dict[tuple[int, int], int]] = [{} for _ in range(q_max + 1)]
-    coeffs[0][(0, 0)] = 1
+    kept = []
     for a, b, k, e in factors:
         if k < 1:
             raise ValueError("q exponent of a factor must be at least 1")
         if a < 0 or b < 0:
             raise ValueError("factor exponents in s and t must be nonnegative")
-        if k > q_max or e == 0:
-            continue
+        if k <= q_max and e != 0:
+            kept.append((a, b, k, e))
+    diagonal = all(a == b for a, b, _, _ in kept)
+    # s^i t^j sits in slot i (diagonal) or j + width * i (box); no t-exponent
+    # of the result exceeds the largest q_max * b / k.
+    width = 1 if diagonal else 1 + max((b * q_max // k for _, b, k, _ in kept), default=0)
+    bits = 8 * (((2 * _coefficient_majorant(kept, q_max) + 1).bit_length() + 7) // 8)
+    coeffs = [0] * (q_max + 1)
+    coeffs[0] = 1
+    for a, b, k, e in kept:
         n_max = q_max // k if e > 0 else min(q_max // k, -e)
+        shift = bits * (a if diagonal else a * width + b)
         steps = [
-            (n * k, a * n, b * n, comb(e - 1 + n, n) if e > 0 else (-1) ** n * comb(-e, n))
+            (n * k, n * shift, comb(e - 1 + n, n) if e > 0 else (-1) ** n * comb(-e, n))
             for n in range(1, n_max + 1)
         ]
         for m in range(q_max, k - 1, -1):
-            target = coeffs[m]
-            get = target.get
-            for shift, di, dj, c in steps:
-                if shift > m:
+            acc = coeffs[m]
+            for q_shift, bit_shift, c in steps:
+                if q_shift > m:
                     break
-                for (i, j), v in coeffs[m - shift].items():
-                    key = (i + di, j + dj)
-                    target[key] = get(key, 0) + c * v
-    for terms in coeffs:
-        for key in [key for key, v in terms.items() if not v]:
-            del terms[key]
-    return TruncatedSeries._raw(q_max, tuple(BivariatePolynomial._raw(terms) for terms in coeffs))
+                src = coeffs[m - q_shift]
+                if src:
+                    acc += (c * src) << bit_shift
+            coeffs[m] = acc
+    return TruncatedSeries._raw(
+        q_max, tuple(_unpack(v, bits, width, diagonal) for v in coeffs)
+    )
+
+
+def _coefficient_majorant(kept: list[tuple[int, int, int, int]], q_max: int) -> int:
+    """Largest coefficient up to q^q_max of the product of (1 - q^k) ** (-|e|).
+
+    Each |c_n| of a factor is at most the matching coefficient of
+    (1 - q^k) ** (-|e|), so this bounds every |coefficient| of the product.
+    Factors are merged by k first.
+    """
+    exponents: dict[int, int] = {}
+    for _, _, k, e in kept:
+        exponents[k] = exponents.get(k, 0) + abs(e)
+    coeffs = [1] + [0] * q_max
+    for k, e in exponents.items():
+        steps = [(n * k, comb(e - 1 + n, n)) for n in range(1, q_max // k + 1)]
+        for m in range(q_max, k - 1, -1):
+            coeffs[m] += sum(c * coeffs[m - shift] for shift, c in steps if shift <= m)
+    return max(coeffs)
+
+
+def _unpack(value: int, bits: int, width: int, diagonal: bool) -> BivariatePolynomial:
+    # Adding 2^(bits-1) to every slot makes all of them nonnegative, so one
+    # to_bytes call exposes each slot as a byte-aligned little-endian field.
+    if not value:
+        return _ZERO
+    size = bits // 8
+    # The top nonzero slot s has |value| > 2^(bits s - 1), so this covers it.
+    n_slots = value.bit_length() // bits + 1
+    half = 1 << (bits - 1)
+    offset = int.from_bytes(half.to_bytes(size, "little") * n_slots, "little")
+    data = (value + offset).to_bytes(size * n_slots, "little")
+    from_bytes = int.from_bytes
+    terms: dict[tuple[int, int], int] = {}
+    for slot in range(n_slots):
+        c = from_bytes(data[slot * size : (slot + 1) * size], "little") - half
+        if c:
+            terms[(slot, slot) if diagonal else divmod(slot, width)] = c
+    return BivariatePolynomial._raw(terms)

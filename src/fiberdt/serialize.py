@@ -28,6 +28,7 @@ __all__ = [
     "euler_to_csv",
     "euler_from_csv",
     "canonical_json",
+    "dump_series_document",
     "attach_checksum",
     "checksum_ok",
 ]
@@ -126,6 +127,31 @@ def euler_from_document(doc: dict) -> tuple[int, ...]:
 
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+_COEFFICIENTS_SLOT = '\n  "coefficients": null,'
+_COEFFICIENT_HEAD = '    {\n      "m": %s,\n      "q": %d,\n      "terms": '
+_TERM = '        {\n          "c": "%s",\n          "i": %d,\n          "j": %d\n        }'
+
+
+def dump_series_document(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` for a document of
+    :func:`series_to_document`, with the term lists written directly.
+
+    The metadata head still goes through ``json.dumps``; only the
+    ``coefficients`` list, whose terms hold decimal strings and ints, is
+    rendered by format strings.
+    """
+    head = json.dumps({**doc, "coefficients": None}, sort_keys=True, indent=2)
+    before, after = head.split(_COEFFICIENTS_SLOT)
+    entries = []
+    for entry in doc["coefficients"]:
+        terms = ",\n".join(_TERM % (t["c"], t["i"], t["j"]) for t in entry["terms"])
+        body = "[\n" + terms + "\n      ]" if terms else "[]"
+        m = "null" if entry["m"] is None else entry["m"]
+        entries.append(_COEFFICIENT_HEAD % (m, entry["q"]) + body + "\n    }")
+    coefficients = ",\n".join(entries)
+    return f'{before}\n  "coefficients": [\n{coefficients}\n  ],{after}\n'
 
 
 def _payload_checksum(doc: dict) -> str:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import time
+from pathlib import Path
 
 from fiberdt import cli, formulas, serialize
 from fiberdt.geometry import FibrationSpec, registry_lookup
@@ -167,6 +169,32 @@ def test_series_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert serialize.series_from_csv(target.read_text()).q_max == 2
+
+
+GOLDEN_Q50 = json.loads((Path(__file__).parent / "data" / "golden_q50.json").read_text())
+
+# `series hilb --surface abelian --qmax 50` is the worst cap-level command:
+# about 2 s in process and 2.8 s from the shell on a 2-core machine with
+# Python 3.11 (about 20 s before the packed series engine).
+ABELIAN_CAP_BUDGET_S = 6.0
+
+
+def test_golden_q50_digests(tmp_path):
+    # sha256 of the JSON output at the cap for hilb, incidence and im1 (genus
+    # 1) over k3 and abelian, plus hilb over p2, as recorded with the sparse
+    # dictionary engine that the packed engine replaced.
+    formulas._hilbert_hodge_series_cached.cache_clear()
+    try:
+        for entry in GOLDEN_Q50:
+            target = tmp_path / "series.json"
+            start = time.perf_counter()
+            assert cli.main([*entry["argv"], "--out", str(target)]) == 0
+            elapsed = time.perf_counter() - start
+            assert hashlib.sha256(target.read_bytes()).hexdigest() == entry["sha256"], entry["argv"]
+            if entry["argv"][1:4] == ["hilb", "--surface", "abelian"]:
+                assert elapsed < ABELIAN_CAP_BUDGET_S
+    finally:
+        formulas._hilbert_hodge_series_cached.cache_clear()
 
 
 # --- cache ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fiberdt.localhom import (
     POINT_IDEAL,
     SIZE_CAP,
     MonomialIdeal,
+    _constraint_rows,
     hom_dimension,
     standard_monomials,
     syzygy_pairs,
@@ -258,6 +259,48 @@ def test_cylinder_arm_leg_character(parts, d):
         assert len(weights) == 1, weights  # every basis map is weight-homogeneous
         character.update(weights)
     assert character == arm_leg_character(parts, d)
+
+
+def constraint_rows_by_ideal_test(ideal, quotient, window):
+    """The rows built by the rule that asks the ideal first: a product in the
+    ideal is skipped, any other must lie in the window."""
+    n_basis = len(quotient.basis)
+    window_set = set(window.basis)
+    rows = []
+    for (gi, gj), lcm in syzygy_pairs(ideal):
+        contributions = {}
+        for g, sign in ((gi, 1), (gj, -1)):
+            mult = tuple(l - e for l, e in zip(lcm, ideal.gens[g]))
+            for b, mono in enumerate(quotient.basis):
+                prod = tuple(x + y for x, y in zip(mono, mult))
+                if ideal.contains_monomial(prod):
+                    continue
+                assert prod in window_set
+                contributions.setdefault(prod, {})[g * n_basis + b] = sign
+        rows.extend(contributions[prod] for prod in sorted(contributions))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    (
+        LINE_IDEAL,
+        LINE_WITH_EMBEDDED_POINT_IDEAL,
+        POINT_IDEAL,
+        MonomialIdeal(cylinder_generators((4, 3, 1))),
+        MonomialIdeal(cylinder_generators((5, 2, 2, 1))),
+    ),
+)
+def test_constraint_rows_match_ideal_first_rule(ideal):
+    # The window holds standard monomials only, so testing window membership
+    # first and the ideal only outside it builds the same rows.
+    guard = max(g[2] for g in ideal.gens) - min(g[2] for g in ideal.gens)
+    for d in (0, 4):
+        quotient = standard_monomials(ideal, d)
+        window = standard_monomials(ideal, d + guard)
+        assert _constraint_rows(ideal, quotient, window) == constraint_rows_by_ideal_test(
+            ideal, quotient, window
+        )
 
 
 def test_size_cap_rejects_before_enumerating():

@@ -225,6 +225,14 @@ def test_series_product_single_factor():
     assert series_product([(1, 1, 2, 3)], 6) == hand_factor(1, 1, 2, 3, 6)
 
 
+def coefficient_majorant(factors, q_max):
+    """Largest coefficient up to q^q_max of the product of (1 - q^k) ** (-|e|)."""
+    product = TruncatedSeries.one(q_max)
+    for _, _, k, e in factors:
+        product = product * hand_factor(0, 0, k, abs(e), q_max)
+    return max(c.coefficient(0, 0) for c in product.coefficients)
+
+
 def test_series_product_matches_generic_multiplication():
     # Reference: the generic series product of factors expanded by hand.  The
     # fixed cases pin |e| > q_max / k, k > q_max, e = 0, a repeated factor and
@@ -234,7 +242,29 @@ def test_series_product_matches_generic_multiplication():
         ([(2, 1, 6, -1), (1, 1, 1, 7), (0, 0, 1, 0)], 5),
         ([(1, 0, 2, 3), (1, 0, 2, 3)], 6),
         ([(1, 2, 1, 4), (1, 2, 1, -4)], 6),
+        # The largest coefficient, -300 at q^3, sits below q_max.
+        ([(0, 0, 3, -300)], 4),
+        # Diagonal (a = b for every kept factor) next to a box factor that
+        # is skipped, and surface-like lists with both layouts.
+        ([(1, 1, 1, 2), (2, 2, 2, -3), (0, 5, 9, 1), (4, 0, 2, 0)], 8),
+        ([(i + k - 1, i + k - 1, k, 1 + i) for k in range(1, 7) for i in range(3)], 6),
+        ([(i + k - 1, j + k - 1, k, (-1) ** (i + j) * 2) for k in range(1, 7)
+          for i in range(3) for j in range(3)], 6),
     ]
+    # Lists whose largest |coefficient| is exactly the majorant that sizes
+    # the slots, on either side of the 8-bit boundary (2 * 127 + 1 < 2^8).
+    exact = [
+        ([(1, 0, 1, -127)], 1),
+        ([(0, 1, 1, 128)], 1),
+        ([(2, 2, 1, -128)], 1),
+        ([(1, 1, 1, 3), (2, 2, 2, 5), (3, 3, 3, 2)], 9),
+        ([(1, 0, 1, 3), (2, 0, 2, 5), (3, 0, 3, 1)], 9),
+    ]
+    for factors, q_max in exact:
+        got = series_product(factors, q_max)
+        largest = max(abs(c) for poly in got.coefficients for c in poly.terms.values())
+        assert largest == coefficient_majorant(factors, q_max), factors
+    cases += exact
     rng = random.Random(20240517)
     for _ in range(300):
         factors = [
@@ -246,6 +276,12 @@ def test_series_product_matches_generic_multiplication():
         if factors and rng.random() < 0.3:
             a, b, k, e = rng.choice(factors)
             factors.append((a, b, k, -e))
+        cases.append((factors, rng.randint(0, 7)))
+    for _ in range(100):
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            a = rng.randint(0, 3)
+            factors.append((a, a, rng.randint(1, 9), rng.randint(-6, 6)))
         cases.append((factors, rng.randint(0, 7)))
     for factors, q_max in cases:
         expected = TruncatedSeries.one(q_max)

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from fiberdt import serialize
+from fiberdt import formulas
 from fiberdt.formulas import nested_hodge_series
-from fiberdt.geometry import registry_lookup
+from fiberdt.geometry import FibrationSpec, HodgeDiamond, registry_lookup
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
 
 
@@ -98,3 +99,36 @@ def test_series_document_rejects_gaps():
     serialize.attach_checksum(doc)
     with pytest.raises(ValueError, match="q\\^0"):
         serialize.series_from_document(doc)
+
+
+@pytest.mark.parametrize("q_max", (0, 1, 21))
+@pytest.mark.parametrize("kind", ("hilb", "incidence", "im1"))
+@pytest.mark.parametrize("surface_name", ("k3", "abelian", None))
+def test_dump_series_document_equals_json_dumps(surface_name, kind, q_max):
+    # abelian has negative coefficients; incidence and im1 have a zero q^0
+    # coefficient ("terms": []) and labels m, hilb has "m": null throughout;
+    # a custom surface has "surface_name": null.
+    if surface_name is None:
+        surface = HodgeDiamond.from_json({"dim": 2, "h": [[1, 1, 2], [1, 7, 1], [2, 1, 1]]})
+    else:
+        surface = registry_lookup(surface_name)
+    genus = 1 if kind == "im1" else None
+    if kind == "hilb":
+        series = formulas.hilbert_hodge_series(surface, q_max)
+    elif kind == "incidence":
+        series = formulas.nested_hodge_series(surface, q_max)
+    else:
+        series = formulas.ideal_sheaf_hodge_series(FibrationSpec(surface, genus, 0, False), q_max)
+    doc = serialize.series_to_document(
+        series, kind=kind, surface_doc=surface.to_json(), surface_name=surface_name, genus=genus
+    )
+    assert serialize.dump_series_document(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_series_document_negative_and_zero_coefficients():
+    series = TruncatedSeries(
+        2, [BivariatePolynomial({(0, 0): -1, (3, 1): -(10**40)}), 0, BivariatePolynomial({(1, 1): 5})]
+    )
+    doc = serialize.series_to_document(series, kind="im1", surface_doc=None, genus=2)
+    assert doc["coefficients"][1]["terms"] == []
+    assert serialize.dump_series_document(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
