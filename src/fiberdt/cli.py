@@ -200,44 +200,69 @@ def _cmd_series(args) -> None:
     if max(max(row) for row in surface.grid) > HODGE_CAP or (args.genus or 0) > HODGE_CAP:
         raise ValueError(f"Hodge numbers and --genus must not exceed the cap {HODGE_CAP}")
 
-    series = _compute_series_cached(kind, surface, fibration, args.q_max, name, args.cache)
+    genus = fibration.fiber_genus if fibration else None
+    surface_doc = surface.to_json()
+    path = series = None
+    if args.cache:
+        key_doc = {"kind": kind, "surface": surface_doc, "genus": genus, "q_max": args.q_max}
+        key = hashlib.sha256(serialize.canonical_json(key_doc).encode()).hexdigest()[:16]
+        path = Path(args.cache) / f"{kind}-{key}.json"
+        if path.exists():
+            try:
+                doc = json.loads(path.read_text())
+                if serialize.checksum_ok(doc):
+                    series = serialize.series_from_document(doc)
+            except (ValueError, KeyError, TypeError):
+                pass  # unusable cache entry: recompute it
+    write_entry = path is not None and series is None
+    if series is None:
+        series = _compute_series(kind, surface, fibration, args.q_max)
     _crosscheck_series(kind, surface, fibration, series)
 
-    genus = fibration.fiber_genus if fibration else None
+    # The Hodge JSON is rendered at most once, from the series: a cache entry
+    # holds the same bytes as the JSON output of the request that wrote it.
+    hodge_json = None
+    if write_entry or (args.format == "json" and not args.euler):
+        hodge_json = serialize.series_to_json(
+            series, kind=kind, surface_doc=surface_doc, surface_name=name, genus=genus
+        )
+    if write_entry:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # Write beside the entry and rename over it, so that a concurrent run
+        # sharing the cache sees either no entry or a whole one.
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(hodge_json)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
     if args.euler:
         values = series.euler_sequence()
         if args.format == "json":
             doc = serialize.euler_to_document(
-                values, kind=kind, surface_doc=surface.to_json(), surface_name=name, genus=genus
+                values, kind=kind, surface_doc=surface_doc, surface_name=name, genus=genus
             )
             text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         elif args.format == "csv":
             text = serialize.euler_to_csv(values, kind=kind)
         else:
             text = _series_text(kind, name, values, " euler")
+    elif args.format == "json":
+        text = hodge_json
+    elif args.format == "csv":
+        text = serialize.series_to_csv(series, kind=kind)
     else:
-        if args.format == "json":
-            doc = serialize.series_to_document(
-                series, kind=kind, surface_doc=surface.to_json(), surface_name=name, genus=genus
-            )
-            text = serialize.dump_series_document(doc)
-        elif args.format == "csv":
-            text = serialize.series_to_csv(series, kind=kind)
-        else:
-            text = _series_text(kind, name, series.coefficients, "")
+        text = _series_text(kind, name, series.coefficients, "")
     _emit(text, args.out)
-
-
-def _series_label(kind: str, m: int) -> str:
-    if kind in serialize.LABELED_KINDS and m >= 1:
-        return f"q^{m} (m={m - 1})"
-    return f"q^{m}"
 
 
 def _series_text(kind: str, name: str | None, values, suffix: str) -> str:
     lines = [f"# kind={kind} surface={name or 'custom'} q_max={len(values) - 1}{suffix}"]
     for m, value in enumerate(values):
-        lines.append(f"{_series_label(kind, m)}: {value}")
+        label = serialize._label(kind, m)
+        lines.append(f"q^{m}: {value}" if label is None else f"q^{m} (m={label}): {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -247,38 +272,6 @@ def _compute_series(kind: str, surface, fibration, q_max: int):
     if kind == "incidence":
         return formulas.nested_hodge_series(surface, q_max)
     return formulas.ideal_sheaf_hodge_series(fibration, q_max)
-
-
-def _compute_series_cached(kind, surface, fibration, q_max, name, cache_dir):
-    genus = fibration.fiber_genus if fibration else None
-    path = None
-    if cache_dir:
-        key_doc = {"kind": kind, "surface": surface.to_json(), "genus": genus, "q_max": q_max}
-        key = hashlib.sha256(serialize.canonical_json(key_doc).encode()).hexdigest()[:16]
-        path = Path(cache_dir) / f"{kind}-{key}.json"
-        if path.exists():
-            try:
-                doc = json.loads(path.read_text())
-                if serialize.checksum_ok(doc):
-                    return serialize.series_from_document(doc)
-            except (ValueError, KeyError, TypeError):
-                pass  # unusable cache entry: fall through and recompute
-    series = _compute_series(kind, surface, fibration, q_max)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = serialize.series_to_document(
-            series, kind=kind, surface_doc=surface.to_json(), surface_name=name, genus=genus
-        )
-        # Write beside the entry and rename over it, so that a concurrent run
-        # sharing the cache sees either no entry or a whole one.
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(serialize.dump_series_document(doc))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    return series
 
 
 def _crosscheck_series(kind, surface, fibration, series) -> None:

@@ -5,6 +5,13 @@ integer rendered as a decimal string, since values outgrow 64-bit integers
 long before the configured truncation cap.  All emission is deterministic:
 identical inputs yield byte-identical documents, and re-ingesting an emitted
 document reproduces the coefficients exactly.
+
+One writer, :func:`series_to_json`, renders a Hodge series document straight
+from the series: each term is rendered once in the compact form of
+:func:`canonical_json`, whose sha256 is the document's checksum, and once in
+the indented form of ``json.dumps(..., sort_keys=True, indent=2)`` that is
+emitted.  No dict per term is built.  Euler documents are small and stay
+dicts; the readers take parsed JSON either way.
 """
 
 from __future__ import annotations
@@ -17,9 +24,8 @@ import json
 from .polyseries import BivariatePolynomial, TruncatedSeries
 
 __all__ = [
-    "polynomial_to_terms",
     "polynomial_from_terms",
-    "series_to_document",
+    "series_to_json",
     "series_from_document",
     "euler_to_document",
     "euler_from_document",
@@ -28,7 +34,6 @@ __all__ = [
     "euler_to_csv",
     "euler_from_csv",
     "canonical_json",
-    "dump_series_document",
     "attach_checksum",
     "checksum_ok",
 ]
@@ -37,13 +42,6 @@ SERIES_SCHEMA = "fiberdt.series.v1"
 
 #: Series kinds whose q^(n+1) coefficient carries the moduli label n.
 LABELED_KINDS = frozenset({"incidence", "im1"})
-
-
-def polynomial_to_terms(poly: BivariatePolynomial) -> list[dict]:
-    return [
-        {"i": i, "j": j, "c": str(c)}
-        for (i, j), c in sorted(poly.terms.items())
-    ]
 
 
 def polynomial_from_terms(terms) -> BivariatePolynomial:
@@ -72,22 +70,6 @@ def _metadata(kind: str, surface_doc, surface_name, genus, q_max: int, euler: bo
         "q_max": q_max,
         "euler": euler,
     }
-
-
-def series_to_document(
-    series: TruncatedSeries,
-    *,
-    kind: str,
-    surface_doc,
-    surface_name: str | None = None,
-    genus: int | None = None,
-) -> dict:
-    doc = _metadata(kind, surface_doc, surface_name, genus, series.q_max, euler=False)
-    doc["coefficients"] = [
-        {"q": m, "m": _label(kind, m), "terms": polynomial_to_terms(c)}
-        for m, c in enumerate(series.coefficients)
-    ]
-    return attach_checksum(doc)
 
 
 def series_from_document(doc: dict) -> TruncatedSeries:
@@ -129,27 +111,48 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-_COEFFICIENTS_SLOT = '\n  "coefficients": null,'
-_COEFFICIENT_HEAD = '    {\n      "m": %s,\n      "q": %d,\n      "terms": '
-_TERM = '        {\n          "c": "%s",\n          "i": %d,\n          "j": %d\n        }'
+# Each term and each coefficient entry in the compact form of canonical_json
+# and in the indented form of json.dumps(..., sort_keys=True, indent=2).
+_TERM = '{"c":"%s","i":%d,"j":%d}'
+_TERM_INDENTED = '        {\n          "c": "%s",\n          "i": %d,\n          "j": %d\n        }'
+_ENTRY = '{"m":%s,"q":%d,"terms":[%s]}'
+_ENTRY_INDENTED = '    {\n      "m": %s,\n      "q": %d,\n      "terms": %s\n    }'
 
 
-def dump_series_document(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` for a document of
-    :func:`series_to_document`, with the term lists written directly.
+def series_to_json(
+    series: TruncatedSeries,
+    *,
+    kind: str,
+    surface_doc,
+    surface_name: str | None = None,
+    genus: int | None = None,
+) -> str:
+    """The Hodge series document as ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\n"``, with its checksum.
 
-    The metadata head still goes through ``json.dumps``; only the
-    ``coefficients`` list, whose terms hold decimal strings and ints, is
-    rendered by format strings.
+    The metadata head goes through ``json.dumps`` with a placeholder for
+    ``coefficients``; the term lists are rendered by format strings.
     """
-    head = json.dumps({**doc, "coefficients": None}, sort_keys=True, indent=2)
-    before, after = head.split(_COEFFICIENTS_SLOT)
+    meta = _metadata(kind, surface_doc, surface_name, genus, series.q_max, euler=False)
+    compact_before, compact_after = canonical_json({**meta, "coefficients": None}).split(
+        '"coefficients":null'
+    )
+    digest = hashlib.sha256(f'{compact_before}"coefficients":['.encode())
     entries = []
-    for entry in doc["coefficients"]:
-        terms = ",\n".join(_TERM % (t["c"], t["i"], t["j"]) for t in entry["terms"])
-        body = "[\n" + terms + "\n      ]" if terms else "[]"
-        m = "null" if entry["m"] is None else entry["m"]
-        entries.append(_COEFFICIENT_HEAD % (m, entry["q"]) + body + "\n    }")
+    for q, poly in enumerate(series.coefficients):
+        label = _label(kind, q)
+        m = "null" if label is None else label
+        rows = [(str(c), i, j) for (i, j), c in sorted(poly.terms.items())]
+        entry = _ENTRY % (m, q, ",".join([_TERM % row for row in rows]))
+        digest.update((f",{entry}" if q else entry).encode())
+        terms = ",\n".join([_TERM_INDENTED % row for row in rows])
+        body = "[\n" + terms + "\n      ]" if rows else "[]"
+        entries.append(_ENTRY_INDENTED % (m, q, body))
+    digest.update(f"]{compact_after}".encode())
+    head = json.dumps(
+        {**meta, "checksum": digest.hexdigest(), "coefficients": None}, sort_keys=True, indent=2
+    )
+    before, after = head.split('\n  "coefficients": null,')
     coefficients = ",\n".join(entries)
     return f'{before}\n  "coefficients": [\n{coefficients}\n  ],{after}\n'
 
@@ -164,8 +167,9 @@ def attach_checksum(doc: dict) -> dict:
     return doc
 
 
-def checksum_ok(doc: dict) -> bool:
-    return doc.get("checksum") == _payload_checksum(doc)
+def checksum_ok(doc) -> bool:
+    """Whether ``doc`` is a JSON object whose checksum matches its payload."""
+    return isinstance(doc, dict) and doc.get("checksum") == _payload_checksum(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from fiberdt import cli, formulas, serialize
 from fiberdt.geometry import FibrationSpec, registry_lookup
+from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -265,6 +268,66 @@ def test_series_cache_tampered_payload_fails_crosscheck(tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "direct integer series" in err
+
+
+def test_series_cache_miss_entry_equals_json_output(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, out, _ = run(
+        capsys, "series", "incidence", "--surface", "abelian", "--qmax", "5",
+        "--format", "json", "--cache", str(cache),
+    )
+    assert code == 0
+    [entry] = cache.iterdir()
+    assert entry.read_text() == out
+
+
+def test_series_cache_hit_renders_current_surface_name(tmp_path, capsys):
+    # The entry is keyed by the diamond, not the name: a hit must render the
+    # document of this request rather than replay the bytes of the entry.
+    cache = tmp_path / "cache"
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps(registry_lookup("p2").to_json()))
+    argv = ("series", "hilb", "--qmax", "4", "--format", "json")
+    assert run(capsys, *argv, "--surface", str(path), "--cache", str(cache))[0] == 0
+    [entry] = cache.iterdir()
+    assert json.loads(entry.read_text())["surface_name"] is None
+    code, out, _ = run(capsys, *argv, "--surface", "p2", "--cache", str(cache))
+    assert code == 0
+    assert json.loads(out)["surface_name"] == "p2"
+    assert out == run(capsys, *argv, "--surface", "p2")[1]
+
+
+def test_series_cache_not_written_when_crosscheck_fails(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = ("series", "hilb", "--surface", "p2", "--qmax", "3", "--cache", str(cache))
+
+    def asymmetric(surface, q_max):
+        return TruncatedSeries(q_max, [BivariatePolynomial({(1, 0): 1})] * (q_max + 1))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(formulas, "hilbert_hodge_series", asymmetric)
+        code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "symmetric" in err
+    assert list(cache.iterdir()) == []
+    assert run(capsys, *argv)[0] == 0
+    assert [p.suffix for p in cache.iterdir()] == [".json"]
+
+
+@pytest.mark.parametrize("content", ("[]", "null", "7", '"x"'))
+def test_series_cache_non_object_entry_recomputed(tmp_path, capsys, content):
+    cache = tmp_path / "cache"
+    argv = ("series", "hilb", "--surface", "p2", "--qmax", "3", "--format", "json")
+    expected = run(capsys, *argv)[1]
+    assert run(capsys, *argv, "--cache", str(cache))[0] == 0
+    [entry] = cache.iterdir()
+    entry.write_text(content)
+    code, out, err = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0, err
+    assert out == expected
+    assert entry.read_text() == expected
+    assert serialize.checksum_ok(json.loads(entry.read_text()))
 
 
 # --- dt -------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,9 +14,41 @@ def sample_series():
     return nested_hodge_series(registry_lookup("k3"), 3)
 
 
+def written(series, **keywords):
+    """The parsed output of the series JSON writer."""
+    return json.loads(serialize.series_to_json(series, **keywords))
+
+
+def reference_document(series, *, kind, surface_doc, surface_name=None, genus=None):
+    """The series document built as dicts, one per term: the layout that
+    ``series_to_json`` renders without building it."""
+    doc = {
+        "schema": "fiberdt.series.v1",
+        "kind": kind,
+        "surface_name": surface_name,
+        "surface": surface_doc,
+        "genus": genus,
+        "q_max": series.q_max,
+        "euler": False,
+        "coefficients": [
+            {
+                "q": q,
+                "m": q - 1 if kind in ("incidence", "im1") and q >= 1 else None,
+                "terms": [
+                    {"i": i, "j": j, "c": str(c)} for (i, j), c in sorted(poly.terms.items())
+                ],
+            }
+            for q, poly in enumerate(series.coefficients)
+        ],
+    }
+    doc["checksum"] = hashlib.sha256(serialize.canonical_json(doc).encode()).hexdigest()
+    return doc
+
+
 def test_polynomial_terms_sorted_and_stringly():
     poly = BivariatePolynomial({(2, 0): -7, (0, 0): 1, (1, 1): 10**30})
-    terms = serialize.polynomial_to_terms(poly)
+    doc = written(TruncatedSeries(0, [poly]), kind="hilb", surface_doc=None)
+    terms = doc["coefficients"][0]["terms"]
     assert terms == [
         {"i": 0, "j": 0, "c": "1"},
         {"i": 1, "j": 1, "c": str(10**30)},
@@ -33,7 +66,7 @@ def test_polynomial_from_terms_rejects_duplicates():
 
 def test_document_round_trip():
     series = sample_series()
-    doc = serialize.series_to_document(
+    doc = written(
         series, kind="incidence", surface_doc=registry_lookup("k3").to_json(), surface_name="k3"
     )
     assert serialize.checksum_ok(doc)
@@ -42,27 +75,21 @@ def test_document_round_trip():
 
 def test_document_labels():
     series = sample_series()
-    doc = serialize.series_to_document(
-        series, kind="incidence", surface_doc=registry_lookup("k3").to_json()
-    )
+    doc = written(series, kind="incidence", surface_doc=registry_lookup("k3").to_json())
     assert [entry["m"] for entry in doc["coefficients"]] == [None, 0, 1, 2]
-    hilb_doc = serialize.series_to_document(
-        TruncatedSeries.one(2), kind="hilb", surface_doc=None
-    )
+    hilb_doc = written(TruncatedSeries.one(2), kind="hilb", surface_doc=None)
     assert [entry["m"] for entry in hilb_doc["coefficients"]] == [None, None, None]
 
 
 def test_checksum_detects_payload_change():
-    doc = serialize.series_to_document(
-        sample_series(), kind="incidence", surface_doc=None
-    )
+    doc = written(sample_series(), kind="incidence", surface_doc=None)
     doc["q_max"] = 7
     assert not serialize.checksum_ok(doc)
 
 
 def test_document_json_stable():
-    doc1 = serialize.series_to_document(sample_series(), kind="incidence", surface_doc=None)
-    doc2 = serialize.series_to_document(sample_series(), kind="incidence", surface_doc=None)
+    doc1 = written(sample_series(), kind="incidence", surface_doc=None)
+    doc2 = written(sample_series(), kind="incidence", surface_doc=None)
     assert serialize.canonical_json(doc1) == serialize.canonical_json(doc2)
 
 
@@ -88,13 +115,11 @@ def test_euler_document_round_trip():
     doc = serialize.euler_to_document(values, kind="hilb", surface_doc=None)
     assert serialize.euler_from_document(doc) == values
     with pytest.raises(ValueError, match="Euler"):
-        serialize.euler_from_document(
-            serialize.series_to_document(sample_series(), kind="hilb", surface_doc=None)
-        )
+        serialize.euler_from_document(written(sample_series(), kind="hilb", surface_doc=None))
 
 
 def test_series_document_rejects_gaps():
-    doc = serialize.series_to_document(sample_series(), kind="incidence", surface_doc=None)
+    doc = written(sample_series(), kind="incidence", surface_doc=None)
     doc["coefficients"] = doc["coefficients"][:-1]
     serialize.attach_checksum(doc)
     with pytest.raises(ValueError, match="q\\^0"):
@@ -119,16 +144,19 @@ def test_dump_series_document_equals_json_dumps(surface_name, kind, q_max):
         series = formulas.nested_hodge_series(surface, q_max)
     else:
         series = formulas.ideal_sheaf_hodge_series(FibrationSpec(surface, genus, 0, False), q_max)
-    doc = serialize.series_to_document(
-        series, kind=kind, surface_doc=surface.to_json(), surface_name=surface_name, genus=genus
-    )
-    assert serialize.dump_series_document(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    keywords = dict(kind=kind, surface_doc=surface.to_json(), surface_name=surface_name, genus=genus)
+    text = serialize.series_to_json(series, **keywords)
+    assert text == json.dumps(reference_document(series, **keywords), sort_keys=True, indent=2) + "\n"
+    doc = json.loads(text)
+    assert serialize.checksum_ok(doc)
+    assert serialize.series_from_document(doc) == series
 
 
 def test_dump_series_document_negative_and_zero_coefficients():
     series = TruncatedSeries(
         2, [BivariatePolynomial({(0, 0): -1, (3, 1): -(10**40)}), 0, BivariatePolynomial({(1, 1): 5})]
     )
-    doc = serialize.series_to_document(series, kind="im1", surface_doc=None, genus=2)
+    doc = reference_document(series, kind="im1", surface_doc=None, genus=2)
     assert doc["coefficients"][1]["terms"] == []
-    assert serialize.dump_series_document(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = serialize.series_to_json(series, kind="im1", surface_doc=None, genus=2)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
