@@ -15,52 +15,57 @@ Every analytic formula is paired with an independent brute-force route
 specializations, re-substitution for linear solves).
 """
 
-from .geometry import (
-    FibrationSpec,
-    HodgeDiamond,
-    InvalidDiamond,
-    K_TRIVIAL_SURFACE_NAMES,
-    curve_diamond,
-    registry_lookup,
-    registry_names,
-    surface_names,
-    surface_with_euler_number,
-)
-from .formulas import (
-    dt_invariant,
-    dt_table,
-    hilbert_euler,
-    hilbert_euler_direct,
-    hilbert_euler_series,
-    hilbert_hodge_series,
-    ideal_sheaf_euler,
-    ideal_sheaf_euler_direct,
-    ideal_sheaf_euler_sequence,
-    ideal_sheaf_hodge_series,
-    moduli_dimension,
-    nested_hodge_series,
-)
-from .localhom import (
-    HomSolution,
-    LINE_IDEAL,
-    LINE_WITH_EMBEDDED_POINT_IDEAL,
-    MonomialIdeal,
-    POINT_IDEAL,
-    TruncatedQuotient,
-    hom_dimension,
-    standard_monomials,
-    syzygy_pairs,
-    tangent_jump_report,
-    verify_hom_solution,
-)
-from .oracles import (
-    Partition,
-    addable_boxes,
-    colored_partitions_count,
-    nested_colored_count,
-    partitions_of,
-)
-from .polyseries import BivariatePolynomial, TruncatedSeries, series_product
+# Every public name is loaded from its submodule on first access (PEP 562),
+# so that a request imports only the modules it runs.
+_SOURCES = {
+    "geometry": (
+        "FibrationSpec",
+        "HodgeDiamond",
+        "InvalidDiamond",
+        "K_TRIVIAL_SURFACE_NAMES",
+        "curve_diamond",
+        "registry_lookup",
+        "registry_names",
+        "surface_names",
+        "surface_with_euler_number",
+    ),
+    "formulas": (
+        "dt_invariant",
+        "dt_table",
+        "hilbert_euler",
+        "hilbert_euler_direct",
+        "hilbert_euler_series",
+        "hilbert_hodge_series",
+        "ideal_sheaf_euler",
+        "ideal_sheaf_euler_direct",
+        "ideal_sheaf_euler_sequence",
+        "ideal_sheaf_hodge_series",
+        "moduli_dimension",
+        "nested_hodge_series",
+    ),
+    "localhom": (
+        "HomSolution",
+        "LINE_IDEAL",
+        "LINE_WITH_EMBEDDED_POINT_IDEAL",
+        "MonomialIdeal",
+        "POINT_IDEAL",
+        "TruncatedQuotient",
+        "hom_dimension",
+        "standard_monomials",
+        "syzygy_pairs",
+        "tangent_jump_report",
+        "verify_hom_solution",
+    ),
+    "oracles": (
+        "Partition",
+        "addable_boxes",
+        "colored_partitions_count",
+        "nested_colored_count",
+        "partitions_of",
+    ),
+    "polyseries": ("BivariatePolynomial", "TruncatedSeries", "series_product"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -107,3 +112,18 @@ __all__ = [
     "POINT_IDEAL",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,24 +12,15 @@ cross-check.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import formulas, oracles, serialize
-from .geometry import (
-    FibrationSpec,
-    HodgeDiamond,
-    K_TRIVIAL_SURFACE_NAMES,
-    registry_lookup,
-    registry_names,
-    surface_with_euler_number,
-)
-from .localhom import MonomialIdeal, hom_dimension, tangent_jump_report
+# Each handler imports the package modules it runs, so that a request loads
+# only those; functions are looked up on their modules at call time.
 
-__all__ = ["main", "build_parser", "Q_MAX_CAP", "D_MAX_CAP", "HODGE_CAP"]
+__all__ = ["main", "build_parser", "Q_MAX_CAP", "D_MAX_CAP", "HODGE_CAP", "INPUT_FILE_CAP"]
 
 # Caps bound the worst cases: the abelian surface at full truncation order
 # (`series hilb --surface abelian --qmax 50` takes about 3 s on a 2-core
@@ -43,6 +34,10 @@ D_MAX_CAP = 12
 # the 3-fold (coefficients summing to at most (2 + 2 g) H) and the point chain
 # add under 20 digits: far below the 4,300 digits Python converts to text.
 HODGE_CAP = 10**6
+# Bytes read from an --ideal-file or a --surface diamond file before it is
+# parsed.  2,000 exponent triples, or a 3 x 3 diamond at HODGE_CAP, take a few
+# tens of kilobytes; a larger file exits 2 without being read whole.
+INPUT_FILE_CAP = 1 << 20
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,19 +150,34 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_surface(token: str) -> tuple[str | None, HodgeDiamond]:
-    """A registry name, or failing that a path to a diamond JSON file."""
+def _load_json_file(name: str):
+    """Parse a user-supplied JSON file of at most INPUT_FILE_CAP bytes.
+
+    The read itself is bounded, so a file that is larger than its size on
+    disk claims (a device such as /dev/zero, or one still growing) is refused
+    like any other.
+    """
+    with open(name, "rb") as fh:
+        data = fh.read(INPUT_FILE_CAP + 1)
+    if len(data) > INPUT_FILE_CAP:
+        raise ValueError(f"{name}: larger than the input file cap of {INPUT_FILE_CAP} bytes")
+    try:
+        return json.loads(data.decode())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{name}: not valid JSON ({exc})") from None
+
+
+def _resolve_surface(token: str):
+    """(name, diamond) of a registry name, or (None, diamond) of a path to a
+    diamond JSON file."""
+    from .geometry import HodgeDiamond, registry_lookup
+
     try:
         return token, registry_lookup(token)
     except ValueError as name_error:
-        path = Path(token)
-        if not path.exists():
+        if not Path(token).exists():
             raise ValueError(f"{name_error}; and no file named {token!r} exists") from None
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{token}: not valid JSON ({exc})") from None
-        return None, HodgeDiamond.from_json(doc)
+        return None, HodgeDiamond.from_json(_load_json_file(token))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +186,11 @@ def _resolve_surface(token: str) -> tuple[str | None, HodgeDiamond]:
 
 
 def _cmd_series(args) -> None:
+    import hashlib
+
+    from . import serialize
+    from .geometry import K_TRIVIAL_SURFACE_NAMES, FibrationSpec
+
     kind = args.kind
     if args.q_max < 0:
         raise ValueError("qmax must be nonnegative")
@@ -259,6 +274,8 @@ def _cmd_series(args) -> None:
 
 
 def _series_text(kind: str, name: str | None, values, suffix: str) -> str:
+    from . import serialize
+
     lines = [f"# kind={kind} surface={name or 'custom'} q_max={len(values) - 1}{suffix}"]
     for m, value in enumerate(values):
         label = serialize._label(kind, m)
@@ -267,6 +284,8 @@ def _series_text(kind: str, name: str | None, values, suffix: str) -> str:
 
 
 def _compute_series(kind: str, surface, fibration, q_max: int):
+    from . import formulas
+
     if kind == "hilb":
         return formulas.hilbert_hodge_series(surface, q_max)
     if kind == "incidence":
@@ -275,6 +294,8 @@ def _compute_series(kind: str, surface, fibration, q_max: int):
 
 
 def _crosscheck_series(kind, surface, fibration, series) -> None:
+    from . import formulas
+
     for m, poly in enumerate(series.coefficients):
         if poly.swap_variables() != poly:
             raise RuntimeError(f"q^{m} coefficient is not symmetric under swapping s and t")
@@ -296,6 +317,9 @@ def _crosscheck_series(kind, surface, fibration, series) -> None:
 
 
 def _cmd_dt(args) -> None:
+    from . import formulas
+    from .geometry import FibrationSpec
+
     name = args.surface
     if args.m_max < 0:
         raise ValueError("mmax must be nonnegative")
@@ -332,6 +356,8 @@ def _cmd_dt(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
+    from . import oracles
+
     chi, m = args.chi, args.m
     if not 1 <= chi <= oracles.RECOMMENDED_COLOR_CAP:
         raise ValueError(
@@ -345,6 +371,9 @@ def _cmd_oracle(args) -> None:
         count = oracles.nested_colored_count(chi, m)
     print(count)
     if args.check:
+        from . import formulas
+        from .geometry import surface_with_euler_number
+
         surface = surface_with_euler_number(chi)
         if args.kind == "colored":
             coefficient = formulas.hilbert_euler_series(surface, m)[m]
@@ -365,17 +394,15 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_localhom(args) -> None:
+    from . import localhom
+
     if args.d_max < 0:
         raise ValueError("dmax must be nonnegative")
     if args.d_max > D_MAX_CAP:
         raise ValueError(f"dmax {args.d_max} exceeds the cap {D_MAX_CAP}")
     if args.ideal_file:
-        try:
-            doc = json.loads(Path(args.ideal_file).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.ideal_file}: not valid JSON ({exc})") from None
-        ideal = MonomialIdeal.from_json(doc)
-        solution = hom_dimension(ideal, args.d_max)
+        ideal = localhom.MonomialIdeal.from_json(_load_json_file(args.ideal_file))
+        solution = localhom.hom_dimension(ideal, args.d_max)
         report = {
             "ideal": ideal.to_json(),
             "d_max": args.d_max,
@@ -395,7 +422,7 @@ def _cmd_localhom(args) -> None:
         return
     if args.d_max < 1:
         raise UsageError("the built-in verification needs --dmax of at least 1")
-    report = tangent_jump_report(range(1, args.d_max + 1))
+    report = localhom.tangent_jump_report(range(1, args.d_max + 1))
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:

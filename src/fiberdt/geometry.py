@@ -9,7 +9,7 @@ at s = t = 1 recovers the topological Euler number.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polyseries import BivariatePolynomial
 
@@ -196,8 +196,9 @@ def surface_with_euler_number(chi: int) -> HodgeDiamond:
     return HodgeDiamond([[1, genus, 0], [genus, middle, genus], [0, genus, 1]])
 
 
-@dataclass(frozen=True)
-class FibrationSpec:
+class FibrationSpec(
+    namedtuple("FibrationSpec", ("base", "fiber_genus", "beta_dot_kx", "base_canonical_trivial"))
+):
     """A 3-fold presented as a Zariski-locally trivial curve fibration.
 
     The base surface is given by its Hodge diamond, the fiber by its genus.
@@ -207,16 +208,20 @@ class FibrationSpec:
     the base came from a registry entry flagged as having K = 0.
     """
 
-    base: HodgeDiamond
-    fiber_genus: int
-    beta_dot_kx: int = 0
-    base_canonical_trivial: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base.dim != 2:
-            raise ValueError(f"fibration base must be a surface, got dimension {self.base.dim}")
-        if self.fiber_genus < 0:
+    def __new__(
+        cls,
+        base: HodgeDiamond,
+        fiber_genus: int,
+        beta_dot_kx: int = 0,
+        base_canonical_trivial: bool = False,
+    ):
+        if base.dim != 2:
+            raise ValueError(f"fibration base must be a surface, got dimension {base.dim}")
+        if fiber_genus < 0:
             raise ValueError("fiber genus must be nonnegative")
+        return super().__new__(cls, base, fiber_genus, beta_dot_kx, base_canonical_trivial)
 
     @classmethod
     def from_surface_name(cls, name: str, fiber_genus: int, beta_dot_kx: int = 0) -> "FibrationSpec":

@@ -25,7 +25,7 @@ kernel vectors and basis maps stay sparse: only nonzero entries are stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 
@@ -69,33 +69,32 @@ def _monomial_str(mono: Monomial) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(namedtuple("MonomialIdeal", ("gens", "minimal"))):
     """An ideal of C[w1, w2, w3] given by monomial generators.
 
-    Generators are exponent triples.  With ``minimal`` set (the default), no
-    generator may divide another.
+    ``gens`` is a tuple of exponent triples.  With ``minimal`` set (the
+    default), no generator may divide another.
     """
 
-    gens: tuple[Monomial, ...]
-    minimal: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.gens:
+    def __new__(cls, gens: tuple[Monomial, ...], minimal: bool = True):
+        if not gens:
             raise ValueError("a monomial ideal needs at least one generator")
-        for g in self.gens:
+        for g in gens:
             if len(g) != 3 or any(
                 not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in g
             ):
                 raise ValueError(f"generator {g!r} is not a triple of nonnegative integers")
-        if self.minimal:
-            for a in self.gens:
-                for b in self.gens:
+        if minimal:
+            for a in gens:
+                for b in gens:
                     if a is not b and _divides(a, b):
                         raise ValueError(
                             f"generator {_monomial_str(a)} divides {_monomial_str(b)} "
                             "in an ideal flagged as minimal"
                         )
+        return super().__new__(cls, gens, minimal)
 
     @classmethod
     def from_json(cls, triples) -> "MonomialIdeal":
@@ -123,18 +122,15 @@ LINE_WITH_EMBEDDED_POINT_IDEAL = MonomialIdeal(
 POINT_IDEAL = MonomialIdeal(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
-@dataclass(frozen=True)
-class TruncatedQuotient:
+class TruncatedQuotient(namedtuple("TruncatedQuotient", ("ideal", "d_max", "basis"))):
     """Basis of the quotient ring by a monomial ideal, truncated in w3.
 
-    The basis consists of the standard monomials (those divisible by no
+    ``basis`` is the tuple of standard monomials (those divisible by no
     generator) whose w3-exponent is at most ``d_max``, in a fixed graded
     order.
     """
 
-    ideal: MonomialIdeal
-    d_max: int
-    basis: tuple[Monomial, ...]
+    __slots__ = ()
 
 
 def _pure_powers(ideal: MonomialIdeal) -> tuple[int, int]:
@@ -189,21 +185,19 @@ def syzygy_pairs(ideal: MonomialIdeal) -> list[tuple[tuple[int, int], Monomial]]
     return pairs
 
 
-@dataclass(frozen=True)
-class HomSolution:
+class HomSolution(
+    namedtuple(
+        "HomSolution",
+        ("ideal", "d_max", "quotient", "dimension", "rank", "n_unknowns", "basis_maps"),
+    )
+):
     """Solution of a truncated Hom computation.
 
     ``basis_maps[v][g]`` is the image of generator g under the v-th basis
     homomorphism, as a sparse ``{index into quotient.basis: nonzero int}`` map.
     """
 
-    ideal: MonomialIdeal
-    d_max: int
-    quotient: TruncatedQuotient
-    dimension: int
-    rank: int
-    n_unknowns: int
-    basis_maps: tuple[tuple[dict[int, int], ...], ...]
+    __slots__ = ()
 
 
 def _constraint_rows(

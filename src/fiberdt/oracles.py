@@ -10,7 +10,7 @@ the series side is reused.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 __all__ = [
@@ -30,17 +30,17 @@ RECOMMENDED_COLOR_CAP = 4
 RECOMMENDED_SIZE_CAP = 8
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
+class Partition(namedtuple("Partition", ("parts",))):
+    """A weakly decreasing tuple of positive integers, ordered by its parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+    def __new__(cls, parts: tuple[int, ...]):
+        if any(p < 1 for p in parts):
+            raise ValueError(f"parts must be positive: {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
+        return super().__new__(cls, parts)
 
     @property
     def size(self) -> int:

@@ -441,6 +441,66 @@ def test_localhom_rejects_oversized_ideals_quickly(tmp_path, capsys):
         assert "cap" in err, name
 
 
+def _padded(path, doc, size):
+    """Write doc as JSON followed by spaces, size bytes in all."""
+    text = json.dumps(doc)
+    path.write_text(text + " " * (size - len(text)))
+    assert path.stat().st_size == size
+
+
+def test_input_files_over_the_byte_cap_are_refused_unparsed(tmp_path, capsys):
+    ideal = tmp_path / "ideal.json"
+    _padded(ideal, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], cli.INPUT_FILE_CAP + 1)
+    code, _, err = run(capsys, "localhom", "--dmax", "0", "--ideal-file", str(ideal))
+    assert code == 2
+    assert "input file cap" in err
+    diamond = tmp_path / "diamond.json"
+    _padded(diamond, registry_lookup("k3").to_json(), cli.INPUT_FILE_CAP + 1)
+    code, _, err = run(capsys, "series", "hilb", "--surface", str(diamond), "--qmax", "2")
+    assert code == 2
+    assert "input file cap" in err
+
+
+def test_input_files_at_the_byte_cap_are_read(tmp_path, capsys):
+    ideal = tmp_path / "ideal.json"
+    _padded(ideal, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], cli.INPUT_FILE_CAP)
+    code, out, err = run(capsys, "localhom", "--dmax", "0", "--ideal-file", str(ideal))
+    assert code == 0, err
+    assert "dimension: 3" in out
+    diamond = tmp_path / "diamond.json"
+    _padded(diamond, registry_lookup("k3").to_json(), cli.INPUT_FILE_CAP)
+    argv = ("series", "hilb", "--qmax", "2", "--format", "json")
+    code, out, err = run(capsys, *argv, "--surface", str(diamond))
+    assert code == 0, err
+    assert json.loads(out)["coefficients"] == json.loads(run(capsys, *argv, "--surface", "k3")[1])["coefficients"]
+
+
+def test_largest_ideal_file_is_far_under_the_byte_cap(tmp_path, capsys):
+    # SIZE_CAP minimal generators, the most an ideal file may hold, pass the
+    # byte cap and reach the Hom size cap; one more reaches the count cap.
+    from fiberdt.localhom import SIZE_CAP
+
+    gens = [[i, SIZE_CAP - 1 - i, 0] for i in range(SIZE_CAP)]
+    path = tmp_path / "largest.json"
+    path.write_text(json.dumps(gens))
+    assert path.stat().st_size < cli.INPUT_FILE_CAP // 16
+    code, _, err = run(capsys, "localhom", "--dmax", "0", "--ideal-file", str(path))
+    assert code == 2
+    assert "ideal size" in err
+    path.write_text(json.dumps(gens + [[SIZE_CAP, 0, 0]]))
+    code, _, err = run(capsys, "localhom", "--dmax", "0", "--ideal-file", str(path))
+    assert code == 2
+    assert "generators exceed the size cap" in err
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+def test_endless_input_file_is_refused(capsys):
+    # Its size on disk reads 0; the bounded read still stops it.
+    code, _, err = run(capsys, "localhom", "--dmax", "0", "--ideal-file", "/dev/zero")
+    assert code == 2
+    assert "input file cap" in err
+
+
 # --- cross-check wiring ----------------------------------------------------------
 
 
