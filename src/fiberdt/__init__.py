@@ -11,7 +11,7 @@ The package computes, in exact integer arithmetic:
   the tangent-space dimension jump at an embedded doubled point.
 
 Every analytic formula is paired with an independent brute-force route
-(partition enumeration at the Euler level, direct integer convolution for
+(partition enumeration at the Euler level, direct integer recurrences for
 specializations, re-substitution for linear solves).
 """
 

@@ -22,9 +22,12 @@ from pathlib import Path
 
 __all__ = ["main", "build_parser", "Q_MAX_CAP", "D_MAX_CAP", "HODGE_CAP", "INPUT_FILE_CAP"]
 
-# Caps bound the worst cases: the abelian surface at full truncation order
-# (`series hilb --surface abelian --qmax 50` takes about 3 s on a 2-core
-# machine with Python 3.11) and the deepest elimination window.
+# Caps bound the worst cases, in two regimes for series on a 2-core machine
+# with Python 3.11: registry surfaces take at most about 3 s (the abelian
+# surface at full truncation order, `series hilb --surface abelian --qmax 50`,
+# about 1.5 s), and a diamond with every entry at HODGE_CAP takes about
+# 30-35 s at q_max = 50 (`hilb` at q_max = 30: about 2.2 s).  D_MAX_CAP bounds
+# the deepest elimination window.
 Q_MAX_CAP = 50
 D_MAX_CAP = 12
 # Bounds every h^{i,j} of a series surface and the fiber genus (h^{0,1} of the
@@ -220,15 +223,21 @@ def _cmd_series(args) -> None:
     path = series = None
     if args.cache:
         key_doc = {"kind": kind, "surface": surface_doc, "genus": genus, "q_max": args.q_max}
-        key = hashlib.sha256(serialize.canonical_json(key_doc).encode()).hexdigest()[:16]
+        request = serialize.canonical_json(key_doc)
+        key = hashlib.sha256(request.encode()).hexdigest()[:16]
         path = Path(args.cache) / f"{kind}-{key}.json"
         if path.exists():
             try:
                 doc = json.loads(path.read_text())
-                if serialize.checksum_ok(doc):
-                    series = serialize.series_from_document(doc)
-            except (ValueError, KeyError, TypeError):
-                pass  # unusable cache entry: recompute it
+                series = serialize.series_from_document(doc)
+                # An entry of another request is a miss too; compared as text,
+                # so that no true passes for a 1.
+                if serialize.canonical_json({k: doc[k] for k in key_doc}) != request:
+                    series = None
+            except (ValueError, RecursionError):
+                # An unusable entry is recomputed.  json.loads recurses once
+                # per nesting level, so a deeply nested one raises RecursionError.
+                pass
     write_entry = path is not None and series is None
     if series is None:
         series = _compute_series(kind, surface, fibration, args.q_max)

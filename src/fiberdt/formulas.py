@@ -9,19 +9,22 @@ identifications (the coefficient of q^1 equals the class of the surface,
 respectively of the 3-fold) and validated against the partition oracles at
 the Euler level.
 
-Every series function has a parallel "direct" integer route computed by
-plain univariate convolution; the two routes share no code with the
+The Euler sequences are computed at s = t = 1: the same packed product runs
+on the specialized factors (1 - q^k) ** (-e(surface)), seeded with the Euler
+number of the 3-fold, so no Hodge series is built for them.
+
+Every series function has a parallel "direct" integer route computed by a
+univariate recurrence on plain ints; the two routes share no code with the
 polynomial machinery and are compared coefficient by coefficient in the test
-suite.
+suite and by the CLI.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 from .geometry import FibrationSpec, HodgeDiamond
-from .polyseries import BivariatePolynomial, TruncatedSeries, series_product
+from .polyseries import TruncatedSeries, series_product
 
 __all__ = [
     "hilbert_hodge_series",
@@ -76,9 +79,19 @@ def hilbert_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
     return _hilbert_hodge_series_cached(surface, q_max)
 
 
+def _euler_factors(chi: int, q_max: int):
+    # The surface factors at s = t = 1: the e^{i,j} of each k add up to chi.
+    return ((0, 0, k, chi) for k in range(1, q_max + 1))
+
+
 def hilbert_euler_series(surface: HodgeDiamond, q_max: int) -> tuple[int, ...]:
-    """Euler specialization (s = t = 1) of :func:`hilbert_hodge_series`."""
-    return hilbert_hodge_series(surface, q_max).euler_sequence()
+    """Euler specialization (s = t = 1) of :func:`hilbert_hodge_series`.
+
+    It is computed at s = t = 1, as the product over k of
+    (1 - q^k) ** (-e(surface)), without the Hodge series.
+    """
+    _require_surface(surface)
+    return series_product(_euler_factors(surface.euler_number(), q_max), q_max).euler_sequence()
 
 
 def hilbert_euler(surface: HodgeDiamond, m: int) -> int:
@@ -88,12 +101,14 @@ def hilbert_euler(surface: HodgeDiamond, m: int) -> int:
     return hilbert_euler_series(surface, m)[m]
 
 
-def _extra_point_series(base: HodgeDiamond, e: BivariatePolynomial, q_max: int) -> TruncatedSeries:
-    # q / (1 - s t q) times e times the Hilbert-scheme product of the base;
-    # after the shift by q only the product's terms below q^q_max survive.
-    factors = [(1, 1, 1, 1), *_surface_factors(base, q_max - 1)]
-    product = series_product(factors, q_max - 1).coefficients if q_max else ()
-    return TruncatedSeries(q_max, [0, *product]).scaled(e)
+def _extra_point_series(factors, e, q_max: int) -> TruncatedSeries:
+    # q times e times the product of the factors; after the shift by q only
+    # the product's terms below q^q_max survive.  e seeds the packed product
+    # rather than scaling its result.
+    if not q_max:
+        return TruncatedSeries.zero(0)
+    product = series_product(factors, q_max - 1, start=e)
+    return TruncatedSeries(q_max, [0, *product.coefficients])
 
 
 def nested_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
@@ -104,7 +119,8 @@ def nested_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
     the coefficient of q^(m+1) is the class of the (m, m+1) nested space.
     """
     _require_surface(surface)
-    return _extra_point_series(surface, surface.e_polynomial(), q_max)
+    factors = [(1, 1, 1, 1), *_surface_factors(surface, q_max - 1)]
+    return _extra_point_series(factors, surface.e_polynomial(), q_max)
 
 
 def ideal_sheaf_hodge_series(fibration: FibrationSpec, q_max: int) -> TruncatedSeries:
@@ -115,12 +131,18 @@ def ideal_sheaf_hodge_series(fibration: FibrationSpec, q_max: int) -> TruncatedS
     the total space; the coefficient of q^(m+1) is the class of the moduli
     space labelled m (m fiber curves plus one floating point).
     """
-    return _extra_point_series(fibration.base, fibration.e_polynomial(), q_max)
+    factors = [(1, 1, 1, 1), *_surface_factors(fibration.base, q_max - 1)]
+    return _extra_point_series(factors, fibration.e_polynomial(), q_max)
 
 
 def ideal_sheaf_euler_sequence(fibration: FibrationSpec, q_max: int) -> tuple[int, ...]:
-    """Euler specialization of :func:`ideal_sheaf_hodge_series`."""
-    return ideal_sheaf_hodge_series(fibration, q_max).euler_sequence()
+    """Euler specialization of :func:`ideal_sheaf_hodge_series`.
+
+    It is computed at s = t = 1, as q/(1 - q) times e of the 3-fold times the
+    product over k of (1 - q^k) ** (-e(base)), without the Hodge series.
+    """
+    factors = [(0, 0, 1, 1), *_euler_factors(fibration.base.euler_number(), q_max - 1)]
+    return _extra_point_series(factors, fibration.euler_number(), q_max).euler_sequence()
 
 
 def ideal_sheaf_euler(fibration: FibrationSpec, m: int) -> int:
@@ -174,34 +196,9 @@ def dt_invariant(fibration: FibrationSpec, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Direct integer routes.  Univariate convolution on plain int lists; kept
+# Direct integer routes.  Univariate recurrences on plain int lists; kept
 # deliberately separate from the polynomial machinery above.
 # ---------------------------------------------------------------------------
-
-
-def _univariate_factor(k: int, e: int, q_max: int) -> list[int]:
-    # Coefficients of (1 - q^k) ** (-e) up to q^q_max.
-    out = [0] * (q_max + 1)
-    out[0] = 1
-    if e > 0:
-        for n in range(1, q_max // k + 1):
-            out[n * k] = comb(e - 1 + n, n)
-    elif e < 0:
-        for n in range(1, min(q_max // k, -e) + 1):
-            out[n * k] = comb(-e, n) * (-1 if n % 2 else 1)
-    return out
-
-
-def _convolve(a: list[int], b: list[int], q_max: int) -> list[int]:
-    out = [0] * (q_max + 1)
-    for u, cu in enumerate(a):
-        if not cu:
-            continue
-        for v in range(q_max + 1 - u):
-            cv = b[v]
-            if cv:
-                out[u + v] += cu * cv
-    return out
 
 
 def hilbert_euler_direct(chi: int, q_max: int) -> tuple[int, ...]:
@@ -209,11 +206,18 @@ def hilbert_euler_direct(chi: int, q_max: int) -> tuple[int, ...]:
 
     The coefficient of q^m is the Euler number of the Hilbert scheme of m
     points on any surface with Euler number chi.
+
+    Computed by the recurrence n a_n = chi * sum over k <= n of
+    sigma(k) a_(n-k), where sigma(k) is the sum of the divisors of k: the
+    logarithmic derivative of the product.  Every division by n is exact.
     """
-    out = [0] * (q_max + 1)
-    out[0] = 1
-    for k in range(1, q_max + 1):
-        out = _convolve(out, _univariate_factor(k, chi, q_max), q_max)
+    sigma = [0] * (q_max + 1)
+    for d in range(1, q_max + 1):
+        for multiple in range(d, q_max + 1, d):
+            sigma[multiple] += d
+    out = [1] + [0] * q_max
+    for n in range(1, q_max + 1):
+        out[n] = chi * sum(sigma[k] * out[n - k] for k in range(1, n + 1)) // n
     return tuple(out)
 
 

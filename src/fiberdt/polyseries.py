@@ -12,29 +12,46 @@ eagerly), so structural equality of the maps is polynomial equality.  All
 values are immutable after construction and safe to share between threads.
 
 :func:`series_product` is the one engine for products of factors
-(1 - s^a t^b q^k) ** (-e) = sum of c_n (s^a t^b q^k)^n.  It applies each factor
-in place: for m from q_max down to k it adds c_n s^(an) t^(bn) times the
-coefficient of q^(m - nk) into that of q^m, so every read predates the factor.
+(1 - s^a t^b q^k) ** (-e) = sum of c_n (s^a t^b q^k)^n, times a polynomial
+``start`` in s and t.  It seeds q^0 with ``start`` and applies each factor in
+place: for m from q_max down to k it adds c_n s^(an) t^(bn) times the
+coefficient of q^(m - nk) into that of q^m, so every read predates the
+factor.  A factor with a small positive e is cheaper as e passes, each a
+division by 1 - s^a t^b q^k with a single shifted add per m, for m from k up;
+the engine takes whichever needs fewer big-int steps.  Each factor acts
+linearly, so the result is start times the product without a separate
+scaling pass.
 
 The engine is Kronecker-packed (Harvey, J. Symbolic Comput. 44, 2009): each
 q-coefficient is one Python int, the sum of c_ij 2^(B slot(i, j)), so that
 multiplying by s^(an) t^(bn) is a left shift and the recurrence above runs on
-plain ints.  The layout follows from the factors:
+plain ints.  The layout follows from the factors and the start:
 
-* diagonal, when every kept factor has a = b: slot(i, i) = i;
+* band, when every kept factor has a = b: slot(i, j) = (i - j + D) +
+  (2 D + 1) j, with D the largest |i - j| of the start.  Diagonal factors
+  keep i - j, so every term stays in the band; D = 0 is the diagonal layout
+  slot(i, i) = i.
 * box otherwise: slot(i, j) = j + W i, where W - 1 bounds every t-degree of
-  the result (the largest q_max b / k, which is 2 q_max for surface
-  factors).  Slots run in sorted (i, j) order.
+  the result (deg_t of the start plus the largest q_max b / k, which is
+  2 q_max for surface factors).  Slots run in sorted (i, j) order.
 
-The slot width B is the bit length of 2 M + 1 rounded up to whole bytes, with
-M the largest coefficient up to q^q_max of the product of (1 - q^k) ** (-|e|)
-over the same factors; M bounds every |c_ij| of the result.  Decoding adds
-2^(B-1) to every slot, calls ``int.to_bytes`` once and reads each byte-aligned
-slot back less 2^(B-1), which handles negative coefficients.
+The slot width B is the bit length of 2 M + 1 rounded up to 8, 16, 32 or 64
+bits, or above 64 to whole bytes.  Here M is the sum of the |coefficients| of
+the start times the largest coefficient up to q^q_max of the product of
+(1 - q^k) ** (-|e|) over the same factors; M bounds every |c_ij| of the
+result.  Decoding adds 2^(B-1) to every slot and calls ``int.to_bytes``
+once.  Up to 64 bits an XOR with the same offset turns each slot back into
+two's complement, which a signed ``array`` of that item size reads, and
+``itertools.compress`` keeps the (i, j) keys of the nonzero slots, all in C.
+Wider slots (the abelian surface at q_max = 50, or Hodge numbers near the
+CLI cap) read each byte-aligned slot back less 2^(B-1).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import compress
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -218,6 +235,9 @@ def _as_poly(value: "BivariatePolynomial | int") -> BivariatePolynomial:
 
 
 _ZERO = BivariatePolynomial.zero()
+_BIG_ENDIAN = sys.byteorder == "big"
+# The signed array typecode of each item size in bytes (1, 2, 4 and 8).
+_SIGNED_TYPECODES = {array(code).itemsize: code for code in "lqihb"}
 
 
 class TruncatedSeries:
@@ -337,15 +357,20 @@ class TruncatedSeries:
 
 
 def series_product(
-    factors: Iterable[tuple[int, int, int, int]], q_max: int
+    factors: Iterable[tuple[int, int, int, int]],
+    q_max: int,
+    *,
+    start: BivariatePolynomial | int = 1,
 ) -> TruncatedSeries:
-    """Product of (1 - s^a t^b q^k) ** (-e) over (a, b, k, e) quadruples.
+    """``start`` times the product of (1 - s^a t^b q^k) ** (-e) over (a, b, k, e)
+    quadruples.
 
     Every factor must have k >= 1 and a, b >= 0.  Those with k > q_max or e = 0
     are 1 up to the truncation order and are skipped: an infinite product is
     finite."""
     if q_max < 0:
         raise ValueError("truncation order must be nonnegative")
+    start = _as_poly(start)
     kept = []
     for a, b, k, e in factors:
         if k < 1:
@@ -355,15 +380,38 @@ def series_product(
         if k <= q_max and e != 0:
             kept.append((a, b, k, e))
     diagonal = all(a == b for a, b, _, _ in kept)
-    # s^i t^j sits in slot i (diagonal) or j + width * i (box); no t-exponent
-    # of the result exceeds the largest q_max * b / k.
-    width = 1 if diagonal else 1 + max((b * q_max // k for _, b, k, _ in kept), default=0)
-    bits = 8 * (((2 * _coefficient_majorant(kept, q_max) + 1).bit_length() + 7) // 8)
+    if diagonal:
+        # Band: diagonal factors keep i - j, so it stays within the -D..D of
+        # the start and s^i t^j sits in slot (i - j + D) + width j.
+        half = max((abs(i - j) for i, j in start.terms), default=0)
+        width = 2 * half + 1
+    else:
+        # Box: s^i t^j sits in slot j + width i; no t-exponent of the result
+        # exceeds deg_t(start) plus the largest q_max b / k.
+        half = 0
+        width = 1 + max((j for _, j in start.terms), default=0) + max(
+            b * q_max // k for _, b, k, _ in kept
+        )
+
+    def slot(i: int, j: int) -> int:
+        return i - j + half + width * j if diagonal else j + width * i
+
+    bound = sum(map(abs, start.terms.values())) * _coefficient_majorant(kept, q_max)
+    size = ((2 * bound + 1).bit_length() + 7) // 8
+    # 1, 2, 4 or 8 bytes, the widths that _unpack reads as an array in C.
+    bits = 8 * (1 << (size - 1).bit_length() if size <= 8 else size)
     coeffs = [0] * (q_max + 1)
-    coeffs[0] = 1
+    coeffs[0] = sum(c << bits * slot(i, j) for (i, j), c in start.terms.items())
     for a, b, k, e in kept:
         n_max = q_max // k if e > 0 else min(q_max // k, -e)
-        shift = bits * (a if diagonal else a * width + b)
+        shift = bits * (slot(a, b) - slot(0, 0))
+        if e > 0 and e * (q_max + 1 - k) <= sum(min(m // k, n_max) for m in range(k, q_max + 1)):
+            # Fewer big-int steps as e divisions by 1 - x q^k, each a shift
+            # and an add per m that reads the updated coefficients.
+            for _ in range(e):
+                for m in range(k, q_max + 1):
+                    coeffs[m] += coeffs[m - k] << shift
+            continue
         steps = [
             (n * k, n * shift, comb(e - 1 + n, n) if e > 0 else (-1) ** n * comb(-e, n))
             for n in range(1, n_max + 1)
@@ -377,9 +425,13 @@ def series_product(
                 if src:
                     acc += (c * src) << bit_shift
             coeffs[m] = acc
-    return TruncatedSeries._raw(
-        q_max, tuple(_unpack(v, bits, width, diagonal) for v in coeffs)
-    )
+    # The (i, j) of every slot that any coefficient reaches, built once.
+    slots = range(max(v.bit_length() for v in coeffs) // bits + 1)
+    if diagonal:
+        keys = [(r - half + j, j) for j, r in (divmod(n, width) for n in slots)]
+    else:
+        keys = [divmod(n, width) for n in slots]
+    return TruncatedSeries._raw(q_max, tuple(_unpack(v, bits, keys) for v in coeffs))
 
 
 def _coefficient_majorant(kept: list[tuple[int, int, int, int]], q_max: int) -> int:
@@ -400,7 +452,7 @@ def _coefficient_majorant(kept: list[tuple[int, int, int, int]], q_max: int) -> 
     return max(coeffs)
 
 
-def _unpack(value: int, bits: int, width: int, diagonal: bool) -> BivariatePolynomial:
+def _unpack(value: int, bits: int, keys: list[tuple[int, int]]) -> BivariatePolynomial:
     # Adding 2^(bits-1) to every slot makes all of them nonnegative, so one
     # to_bytes call exposes each slot as a byte-aligned little-endian field.
     if not value:
@@ -410,11 +462,19 @@ def _unpack(value: int, bits: int, width: int, diagonal: bool) -> BivariatePolyn
     n_slots = value.bit_length() // bits + 1
     half = 1 << (bits - 1)
     offset = int.from_bytes(half.to_bytes(size, "little") * n_slots, "little")
+    typecode = _SIGNED_TYPECODES.get(size)
+    if typecode:
+        # XOR with the offset turns each slot back into two's complement, which
+        # the array reads; compress keeps the keys of the nonzero slots.
+        slots = array(typecode, ((value + offset) ^ offset).to_bytes(size * n_slots, "little"))
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return BivariatePolynomial._raw(dict(zip(compress(keys, slots), filter(None, slots))))
     data = (value + offset).to_bytes(size * n_slots, "little")
     from_bytes = int.from_bytes
     terms: dict[tuple[int, int], int] = {}
     for slot in range(n_slots):
         c = from_bytes(data[slot * size : (slot + 1) * size], "little") - half
         if c:
-            terms[(slot, slot) if diagonal else divmod(slot, width)] = c
+            terms[keys[slot]] = c
     return BivariatePolynomial._raw(terms)

@@ -10,8 +10,10 @@ One writer, :func:`series_to_json`, renders a Hodge series document straight
 from the series: each term is rendered once in the compact form of
 :func:`canonical_json`, whose sha256 is the document's checksum, and once in
 the indented form of ``json.dumps(..., sort_keys=True, indent=2)`` that is
-emitted.  No dict per term is built.  Euler documents are small and stay
-dicts; the readers take parsed JSON either way.
+emitted.  No dict per term is built.  Its one reader,
+:func:`series_from_document`, accepts only what the writer emits and feeds
+the checksum from the same templates while it reads the terms.  Euler
+documents are small and stay dicts; the readers take parsed JSON either way.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import csv
 import hashlib
 import io
 import json
+import operator
+import re
+from itertools import chain, islice
 
 from .polyseries import BivariatePolynomial, TruncatedSeries
 
@@ -72,17 +77,6 @@ def _metadata(kind: str, surface_doc, surface_name, genus, q_max: int, euler: bo
     }
 
 
-def series_from_document(doc: dict) -> TruncatedSeries:
-    if doc.get("schema") != SERIES_SCHEMA or doc.get("euler"):
-        raise ValueError("not a Hodge series document")
-    entries = doc["coefficients"]
-    if [e["q"] for e in entries] != list(range(doc["q_max"] + 1)):
-        raise ValueError("coefficient entries must cover q^0..q^q_max in order")
-    return TruncatedSeries(
-        doc["q_max"], [polynomial_from_terms(e["terms"]) for e in entries]
-    )
-
-
 def euler_to_document(
     values: tuple[int, ...],
     *,
@@ -119,6 +113,13 @@ _ENTRY = '{"m":%s,"q":%d,"terms":[%s]}'
 _ENTRY_INDENTED = '    {\n      "m": %s,\n      "q": %d,\n      "terms": %s\n    }'
 
 
+def _digest_head(meta: dict):
+    """A sha256 fed with the compact document up to the first coefficient
+    entry, and the compact text that follows the last one."""
+    before, after = canonical_json({**meta, "coefficients": None}).split('"coefficients":null')
+    return hashlib.sha256(f'{before}"coefficients":['.encode()), f"]{after}"
+
+
 def series_to_json(
     series: TruncatedSeries,
     *,
@@ -134,10 +135,7 @@ def series_to_json(
     ``coefficients``; the term lists are rendered by format strings.
     """
     meta = _metadata(kind, surface_doc, surface_name, genus, series.q_max, euler=False)
-    compact_before, compact_after = canonical_json({**meta, "coefficients": None}).split(
-        '"coefficients":null'
-    )
-    digest = hashlib.sha256(f'{compact_before}"coefficients":['.encode())
+    digest, compact_after = _digest_head(meta)
     entries = []
     for q, poly in enumerate(series.coefficients):
         label = _label(kind, q)
@@ -148,13 +146,89 @@ def series_to_json(
         terms = ",\n".join([_TERM_INDENTED % row for row in rows])
         body = "[\n" + terms + "\n      ]" if rows else "[]"
         entries.append(_ENTRY_INDENTED % (m, q, body))
-    digest.update(f"]{compact_after}".encode())
+    digest.update(compact_after.encode())
     head = json.dumps(
         {**meta, "checksum": digest.hexdigest(), "coefficients": None}, sort_keys=True, indent=2
     )
     before, after = head.split('\n  "coefficients": null,')
     coefficients = ",\n".join(entries)
     return f'{before}\n  "coefficients": [\n{coefficients}\n  ],{after}\n'
+
+
+# The c of a term as series_to_json writes it: str() of a nonzero int.
+_DECIMAL = re.compile("-?[1-9][0-9]*").fullmatch
+_C, _I, _J = map(operator.itemgetter, "cij")
+
+
+def series_from_document(doc) -> TruncatedSeries:
+    """The series of a parsed Hodge series document, checked and read in one walk.
+
+    ``doc`` must be exactly what :func:`series_to_json` writes, checksum
+    included; anything else raises ``ValueError``.  The checksum is fed with
+    each entry rendered by the writer's compact templates while the terms are
+    read, so the document is not encoded again.
+    """
+    try:
+        return _read_series(doc)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a Hodge series document: {exc!r}") from None
+
+
+def _read_series(doc) -> TruncatedSeries:
+    kind, q_max = doc["kind"], doc["q_max"]
+    if type(kind) is not str or type(q_max) is not int or q_max < 0:
+        raise ValueError("not a Hodge series document: kind or q_max")
+    name = doc["surface_name"]
+    if not (name is None or type(name) is str):
+        raise ValueError("surface_name must be a string or null")
+    meta = _metadata(kind, doc["surface"], name, doc["genus"], q_max, euler=False)
+    head = {k: v for k, v in doc.items() if k not in ("checksum", "coefficients")}
+    # Compared as text, so that no true passes for a 1 and no 0 for false.
+    if len(doc) != len(meta) + 2 or canonical_json(head) != canonical_json(meta):
+        raise ValueError("not a Hodge series document: metadata")
+    entries = doc["coefficients"]
+    if type(entries) is not list or len(entries) != q_max + 1:
+        raise ValueError("coefficient entries must cover q^0..q^q_max")
+    digest, compact_after = _digest_head(meta)
+    coeffs = []
+    for q, entry in enumerate(entries):
+        label = _label(kind, q)
+        if (
+            type(entry) is not dict
+            or len(entry) != 3
+            or type(entry["q"]) is not int
+            or entry["q"] != q
+            or type(entry["m"]) is not type(label)
+            or entry["m"] != label
+            or type(entry["terms"]) is not list
+        ):
+            raise ValueError(f"q^{q}: not a coefficient entry of the writer")
+        terms = entry["terms"]
+        cs = list(map(_C, terms))
+        iss = list(map(_I, terms))
+        js = list(map(_J, terms))
+        keys = list(zip(iss, js))
+        # Each term has exactly c, i and j; the exponents are ints (no bools),
+        # nonnegative and strictly increasing; each c is str() of a nonzero int.
+        if not (
+            set(map(len, terms)) <= {3}
+            and set(map(type, iss)) | set(map(type, js)) <= {int}
+            and min(iss, default=0) >= 0
+            and min(js, default=0) >= 0
+            and set(map(type, cs)) <= {str}
+            and all(map(_DECIMAL, cs))
+            and all(map(operator.lt, keys, islice(keys, 1, None)))
+        ):
+            raise ValueError(f"q^{q}: terms differ from the writer's")
+        coeffs.append(BivariatePolynomial._raw(dict(zip(keys, map(int, cs)))))
+        m = "null" if label is None else label
+        rendered = ",".join([_TERM] * len(terms)) % tuple(chain.from_iterable(zip(cs, iss, js)))
+        text = _ENTRY % (m, q, rendered)
+        digest.update((f",{text}" if q else text).encode())
+    digest.update(compact_after.encode())
+    if doc["checksum"] != digest.hexdigest():
+        raise ValueError("checksum mismatch")
+    return TruncatedSeries._raw(q_max, tuple(coeffs))
 
 
 def _payload_checksum(doc: dict) -> str:

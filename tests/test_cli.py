@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -176,8 +178,8 @@ def test_series_out_file(tmp_path, capsys):
 
 GOLDEN_Q50 = json.loads((Path(__file__).parent / "data" / "golden_q50.json").read_text())
 
-# `series hilb --surface abelian --qmax 50` is the worst cap-level command:
-# about 2 s in process and 2.8 s from the shell on a 2-core machine with
+# `series hilb --surface abelian --qmax 50` is the worst registry-surface
+# command at the cap: about 1.5 s from the shell on a 2-core machine with
 # Python 3.11 (about 20 s before the packed series engine).
 ABELIAN_CAP_BUDGET_S = 6.0
 
@@ -196,6 +198,54 @@ def test_golden_q50_digests(tmp_path):
             assert hashlib.sha256(target.read_bytes()).hexdigest() == entry["sha256"], entry["argv"]
             if entry["argv"][1:4] == ["hilb", "--surface", "abelian"]:
                 assert elapsed < ABELIAN_CAP_BUDGET_S
+    finally:
+        formulas._hilbert_hodge_series_cached.cache_clear()
+
+
+# A diamond with every entry at HODGE_CAP has the widest slots of any surface
+# input (928 bits at q = 50, against 80 for the abelian surface).  It is the
+# second regime of the caps: about 28 s at q = 50, and about 2.2 s at q = 30
+# from the shell on a 2-core machine with Python 3.11.
+HODGE_CAP_Q30_BUDGET_S = 8.0
+
+
+def test_hodge_cap_diamond_within_budget(tmp_path):
+    cap = cli.HODGE_CAP
+    diamond = tmp_path / "cap.json"
+    diamond.write_text(json.dumps({"dim": 2, "h": [[1, cap, cap], [cap, cap, cap], [cap, cap, 1]]}))
+    argv = ["series", "hilb", "--surface", str(diamond), "--qmax", "30", "--format", "json"]
+    formulas._hilbert_hodge_series_cached.cache_clear()
+    try:
+        start = time.perf_counter()
+        assert cli.main([*argv, "--out", str(tmp_path / "series.json")]) == 0
+        assert time.perf_counter() - start < HODGE_CAP_Q30_BUDGET_S
+    finally:
+        formulas._hilbert_hodge_series_cached.cache_clear()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_digests_replay(tmp_path, monkeypatch):
+    # Every request the benchmark can make must reproduce the sha256 it
+    # recorded; perfbench/ is read, never written.
+    if not (PERFBENCH / "workloads.py").is_file():
+        pytest.skip("perfbench/ is not part of this tree")
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    requests = {r.key: r for w in workloads.WORKLOADS for r in workloads.all_requests(w)}
+    assert set(digests) == set(requests)
+    workloads.write_fixtures(requests.values(), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "out"
+    formulas._hilbert_hodge_series_cached.cache_clear()
+    try:
+        for key, digest in digests.items():
+            assert cli.main([*requests[key].argv, "--out", str(target)]) == 0, key
+            assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, key
     finally:
         formulas._hilbert_hodge_series_cached.cache_clear()
 
@@ -328,6 +378,72 @@ def test_series_cache_non_object_entry_recomputed(tmp_path, capsys, content):
     assert out == expected
     assert entry.read_text() == expected
     assert serialize.checksum_ok(json.loads(entry.read_text()))
+
+
+def _retotal(doc):
+    # A changed payload under a checksum that matches it again.
+    return json.dumps(serialize.attach_checksum(doc))
+
+
+def _edit_term(edit):
+    def tamper(text):
+        doc = json.loads(text)
+        edit(doc["coefficients"][1]["terms"][1])  # the s t term of e(P2), c = "1"
+        return _retotal(doc)
+
+    return tamper
+
+
+def _replace_entry(text):
+    doc = json.loads(text)
+    doc["coefficients"][2] = [doc["coefficients"][2]]
+    return _retotal(doc)
+
+
+def _edit_head(edit):
+    def tamper(text):
+        doc = json.loads(text)
+        edit(doc)
+        return _retotal(doc)
+
+    return tamper
+
+
+def _tamper_coefficient(text):
+    doc = json.loads(text)
+    doc["coefficients"][1]["terms"][0]["c"] = "2"
+    return json.dumps(doc)  # stale checksum
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    (
+        pytest.param(_tamper_coefficient, id="tampered-coefficient"),
+        pytest.param(_edit_term(lambda t: t.update(x=1)), id="extra-term-key"),
+        pytest.param(_edit_term(lambda t: t.update(i=True)), id="bool-exponent"),
+        pytest.param(_edit_term(lambda t: t.update(c="\u0661")), id="non-ascii-c"),
+        pytest.param(_edit_term(lambda t: t.update(c="01")), id="non-canonical-c"),
+        pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+        pytest.param(lambda text: "[" * 100_000, id="deeply-nested"),
+        pytest.param(_replace_entry, id="non-object-coefficient-entry"),
+        pytest.param(_edit_head(lambda d: d.update(genus=1)), id="other-request"),
+        pytest.param(_edit_head(lambda d: d.update(euler=0)), id="euler-zero"),
+    ),
+)
+def test_series_cache_entry_the_writer_could_not_produce_is_rewritten(tmp_path, capsys, tamper):
+    # Each of these is a miss: the request exits 0 with the uncached bytes and
+    # replaces the entry by the writer's.
+    cache = tmp_path / "cache"
+    argv = ("series", "hilb", "--surface", "p2", "--qmax", "3", "--format", "json")
+    expected = run(capsys, *argv)[1]
+    assert run(capsys, *argv, "--cache", str(cache))[0] == 0
+    [entry] = cache.iterdir()
+    entry.write_text(tamper(entry.read_text()))
+    assert entry.read_text() != expected
+    code, out, err = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0, err
+    assert out == expected
+    assert entry.read_text() == expected
 
 
 # --- dt -------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from fiberdt.formulas import (
@@ -13,7 +15,13 @@ from fiberdt.formulas import (
     moduli_dimension,
     nested_hodge_series,
 )
-from fiberdt.geometry import FibrationSpec, curve_diamond, registry_lookup, surface_names
+from fiberdt.geometry import (
+    FibrationSpec,
+    curve_diamond,
+    registry_lookup,
+    surface_names,
+    surface_with_euler_number,
+)
 from fiberdt.oracles import colored_partitions_count, nested_colored_count
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
 
@@ -175,12 +183,15 @@ def extra_point_reference(base, e, q_max):
 
 @pytest.mark.parametrize("q_max", (0, 1, 2, 12))
 def test_extra_point_series_match_generic_multiplication(q_max):
+    # p1xp1 (diagonal) and genus 3 seed the product with a start that spans
+    # the band or widens the box.
+    assert "p1xp1" in SURFACES
     for name in SURFACES:
         S = surface(name)
         assert nested_hodge_series(S, q_max) == extra_point_reference(
             S, S.e_polynomial(), q_max
         )
-        for g in (0, 1, 2):
+        for g in (0, 1, 2, 3):
             fib = FibrationSpec.from_surface_name(name, g)
             assert ideal_sheaf_hodge_series(fib, q_max) == extra_point_reference(
                 S, fib.e_polynomial(), q_max
@@ -222,6 +233,31 @@ def test_specialization_matches_direct_integer_routes():
             fib = FibrationSpec.from_surface_name(name, g)
             assert ideal_sheaf_euler_sequence(fib, q_max) == ideal_sheaf_euler_direct(
                 fib.euler_number(), chi, q_max
+            )
+
+
+@pytest.mark.parametrize("q_max", (0, 1, 2, 30))
+def test_euler_sequences_are_the_hodge_series_at_one(q_max):
+    # The Euler sequences run the product at s = t = 1; they must equal the
+    # Hodge series evaluated there.
+    for name in SURFACES:
+        S = surface(name)
+        assert hilbert_euler_series(S, q_max) == hilbert_hodge_series(S, q_max).euler_sequence()
+    # The diamonds of the Euler oracle check (two of them have g = 1, so a box
+    # layout and factors with e = -1): their Hodge series at s = t = 1 equal
+    # partition enumeration as well as the Euler route.
+    for chi in (1, 2, 3, 4):
+        S = surface_with_euler_number(chi)
+        euler = hilbert_hodge_series(S, q_max).euler_sequence()
+        assert hilbert_euler_series(S, q_max) == euler
+        for m in range(min(q_max, 6) + 1):
+            assert euler[m] == colored_partitions_count(chi, m)
+    for name in SURFACES:
+        for g in (0, 1, 2, 3):
+            fib = FibrationSpec.from_surface_name(name, g)
+            assert (
+                ideal_sheaf_euler_sequence(fib, q_max)
+                == ideal_sheaf_hodge_series(fib, q_max).euler_sequence()
             )
 
 
@@ -273,6 +309,21 @@ def test_dt_rejects_nonzero_beta_k():
 
 
 # --- direct integer routes ---------------------------------------------------
+
+
+@pytest.mark.parametrize("chi", (-7, -1, 0, 1, 3, 24, 2 * 10**6))
+def test_direct_route_matches_the_expanded_product(chi):
+    # Reference: the product of (1 - q^k) ** (-chi) multiplied out factor by
+    # factor from binomial coefficients.
+    q_max = 50
+    expected = [1] + [0] * q_max
+    for k in range(1, q_max + 1):
+        factor = [0] * (q_max + 1)
+        for n in range(q_max // k + 1):
+            factor[n * k] = comb(chi - 1 + n, n) if chi > 0 else (-1) ** n * comb(-chi, n)
+        expected = [sum(expected[u] * factor[m - u] for u in range(m + 1)) for m in range(q_max + 1)]
+    for q in (0, 1, 5, q_max):
+        assert hilbert_euler_direct(chi, q) == tuple(expected[: q + 1])
 
 
 def test_direct_route_negative_exponent():

@@ -214,6 +214,12 @@ def test_series_product_empty():
     assert series_product([], 5) == TruncatedSeries.one(5)
 
 
+def test_series_product_start_is_keyword_only():
+    assert series_product([], 2, start=ST) == TruncatedSeries(2, [ST])
+    with pytest.raises(TypeError):
+        series_product([], 2, ST)
+
+
 def test_series_product_single_factor():
     # (1 - s t q^2) ** -3 = 1 + 3 s t q^2 + 6 s^2 t^2 q^4 + 10 s^3 t^3 q^6
     expected = TruncatedSeries(
@@ -223,6 +229,13 @@ def test_series_product_single_factor():
     )
     assert series_product([(1, 1, 2, 3)], 6) == expected
     assert series_product([(1, 1, 2, 3)], 6) == hand_factor(1, 1, 2, 3, 6)
+
+
+def random_poly(rng):
+    """Up to four terms with exponents below 4 and coefficients in -9..9."""
+    return poly(
+        {(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-9, 9) for _ in range(rng.randint(0, 4))}
+    )
 
 
 def coefficient_majorant(factors, q_max):
@@ -252,11 +265,19 @@ def test_series_product_matches_generic_multiplication():
           for i in range(3) for j in range(3)], 6),
     ]
     # Lists whose largest |coefficient| is exactly the majorant that sizes
-    # the slots, on either side of the 8-bit boundary (2 * 127 + 1 < 2^8).
+    # the slots, on either side of each width read as an array in C (8, 16,
+    # 32 and 64 bits: 2 (2^(B-1) - 1) + 1 < 2^B <= 2 * 2^(B-1) + 1) and of the
+    # 64-bit boundary where decoding leaves C for the byte path.
     exact = [
         ([(1, 0, 1, -127)], 1),
         ([(0, 1, 1, 128)], 1),
         ([(2, 2, 1, -128)], 1),
+        ([(1, 0, 1, -(2**15 - 1))], 1),
+        ([(1, 1, 1, -(2**15))], 1),
+        ([(0, 1, 1, -(2**31 - 1))], 1),
+        ([(1, 0, 1, -(2**31))], 1),
+        ([(1, 0, 1, -(2**63 - 1))], 1),
+        ([(1, 0, 1, -(2**63))], 1),
         ([(1, 1, 1, 3), (2, 2, 2, 5), (3, 3, 3, 2)], 9),
         ([(1, 0, 1, 3), (2, 0, 2, 5), (3, 0, 3, 1)], 9),
     ]
@@ -283,14 +304,31 @@ def test_series_product_matches_generic_multiplication():
             a = rng.randint(0, 3)
             factors.append((a, a, rng.randint(1, 9), rng.randint(-6, 6)))
         cases.append((factors, rng.randint(0, 7)))
-    for factors, q_max in cases:
+    # Wide slots (byte path) with negative coefficients, diagonal and box.
+    cases += [
+        ([(1, 1, 1, -(2**70)), (2, 2, 2, 3)], 4),
+        ([(1, 0, 1, -(2**70)), (0, 1, 2, 3)], 4),
+    ]
+    # A start for each case: band (a non-diagonal start with diagonal
+    # factors), box with a start, start = 0 and negative coefficients.
+    starts = [
+        poly({(0, 1): -2, (1, 0): 5, (3, 3): 1}),
+        poly({(2, 0): -1, (0, 0): 7}),
+        ZERO,
+        ONE,
+        poly({(0, 4): 3, (1, 1): -(2**65)}),
+    ]
+    for n, (factors, q_max) in enumerate(cases):
         expected = TruncatedSeries.one(q_max)
         for factor in factors:
             expected = expected * hand_factor(*factor, q_max)
         got = series_product(iter(factors), q_max)
         assert got == expected, (factors, q_max)
-        for poly in got.coefficients:
-            assert 0 not in poly.terms.values()
+        start = starts[n % len(starts)] if n % 3 else random_poly(rng)
+        seeded = series_product(iter(factors), q_max, start=start)
+        assert seeded == expected.scaled(start), (factors, q_max, start)
+        for coefficient in (*got.coefficients, *seeded.coefficients):
+            assert 0 not in coefficient.terms.values()
 
 
 @pytest.mark.parametrize("factor", [(1, 1, -2, 1), (-1, 0, 1, 1), (0, -1, 1, 1), (-1, 0, 9, 1), (0, -1, 9, 0)])

@@ -81,6 +81,30 @@ def test_document_labels():
     assert [entry["m"] for entry in hilb_doc["coefficients"]] == [None, None, None]
 
 
+@pytest.mark.parametrize(
+    "edit",
+    (
+        pytest.param(lambda d: d.update(q_max=True), id="bool-q_max"),
+        pytest.param(lambda d: d.update(extra=1), id="extra-key"),
+        pytest.param(lambda d: d["coefficients"][2]["terms"].reverse(), id="unsorted-terms"),
+        pytest.param(lambda d: d["coefficients"][1].update(m=0.0), id="float-label"),
+    ),
+)
+def test_series_reader_rejects_what_the_writer_cannot_emit(edit):
+    doc = written(sample_series(), kind="incidence", surface_doc=None)
+    edit(doc)
+    serialize.attach_checksum(doc)  # the checksum matches the edited payload
+    with pytest.raises(ValueError):
+        serialize.series_from_document(doc)
+
+
+def test_series_reader_rejects_a_stale_checksum():
+    doc = written(sample_series(), kind="incidence", surface_doc=None)
+    doc["coefficients"][1]["terms"][0]["c"] = "2"
+    with pytest.raises(ValueError, match="checksum"):
+        serialize.series_from_document(doc)
+
+
 def test_checksum_detects_payload_change():
     doc = written(sample_series(), kind="incidence", surface_doc=None)
     doc["q_max"] = 7
