@@ -42,6 +42,7 @@ _SOURCES = {
         "ideal_sheaf_hodge_series",
         "moduli_dimension",
         "nested_hodge_series",
+        "verify_series",
     ),
     "localhom": (
         "HomSolution",
@@ -69,49 +70,7 @@ _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivariatePolynomial",
-    "TruncatedSeries",
-    "series_product",
-    "HodgeDiamond",
-    "InvalidDiamond",
-    "FibrationSpec",
-    "curve_diamond",
-    "registry_lookup",
-    "registry_names",
-    "surface_names",
-    "surface_with_euler_number",
-    "K_TRIVIAL_SURFACE_NAMES",
-    "hilbert_hodge_series",
-    "hilbert_euler_series",
-    "hilbert_euler",
-    "nested_hodge_series",
-    "ideal_sheaf_hodge_series",
-    "ideal_sheaf_euler_sequence",
-    "ideal_sheaf_euler",
-    "moduli_dimension",
-    "dt_table",
-    "dt_invariant",
-    "hilbert_euler_direct",
-    "ideal_sheaf_euler_direct",
-    "Partition",
-    "partitions_of",
-    "addable_boxes",
-    "colored_partitions_count",
-    "nested_colored_count",
-    "MonomialIdeal",
-    "TruncatedQuotient",
-    "HomSolution",
-    "standard_monomials",
-    "syzygy_pairs",
-    "hom_dimension",
-    "verify_hom_solution",
-    "tangent_jump_report",
-    "LINE_IDEAL",
-    "LINE_WITH_EMBEDDED_POINT_IDEAL",
-    "POINT_IDEAL",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name):

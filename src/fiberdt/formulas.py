@@ -15,13 +15,11 @@ number of the 3-fold, so no Hodge series is built for them.
 
 Every series function has a parallel "direct" integer route computed by a
 univariate recurrence on plain ints; the two routes share no code with the
-polynomial machinery and are compared coefficient by coefficient in the test
-suite and by the CLI.
+polynomial machinery and are compared coefficient by coefficient by
+:func:`verify_series` and :func:`dt_table`.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .geometry import FibrationSpec, HodgeDiamond
 from .polyseries import TruncatedSeries, series_product
@@ -39,6 +37,7 @@ __all__ = [
     "dt_invariant",
     "hilbert_euler_direct",
     "ideal_sheaf_euler_direct",
+    "verify_series",
 ]
 
 
@@ -63,11 +62,6 @@ def _surface_factors(surface: HodgeDiamond, q_max: int):
                     yield (i + k - 1, j + k - 1, k, e)
 
 
-@lru_cache(maxsize=64)
-def _hilbert_hodge_series_cached(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
-    return series_product(_surface_factors(surface, q_max), q_max)
-
-
 def hilbert_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
     """Hodge-polynomial series of the Hilbert schemes of points of a surface.
 
@@ -76,7 +70,7 @@ def hilbert_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
     surface itself.
     """
     _require_surface(surface)
-    return _hilbert_hodge_series_cached(surface, q_max)
+    return series_product(_surface_factors(surface, q_max), q_max)
 
 
 def _euler_factors(chi: int, q_max: int):
@@ -171,6 +165,10 @@ def dt_table(fibration: FibrationSpec, m_max: int) -> tuple[tuple[int, int], ...
     elliptic fiber (genus 1) and vanishing beta.K, so each moduli space is
     smooth with obstruction bundle dual to its tangent bundle and the
     invariant is (-1)^dim times the Euler number.
+
+    The Euler column is checked against :func:`ideal_sheaf_euler_direct` and
+    every invariant against the vanishing that the setting forces; either
+    failure raises ``RuntimeError``.
     """
     if not fibration.base_canonical_trivial:
         raise ValueError(
@@ -184,9 +182,18 @@ def dt_table(fibration: FibrationSpec, m_max: int) -> tuple[tuple[int, int], ...
     if m_max < 0:
         raise ValueError("moduli label must be nonnegative")
     euler = ideal_sheaf_euler_sequence(fibration, m_max + 1)
-    return tuple(
+    direct = ideal_sheaf_euler_direct(
+        fibration.euler_number(), fibration.base.euler_number(), m_max + 1
+    )
+    if euler != direct:
+        raise RuntimeError("Euler specialization disagrees with the direct integer series")
+    table = tuple(
         (euler[m + 1], (-1) ** moduli_dimension(m) * euler[m + 1]) for m in range(m_max + 1)
     )
+    for m, (_, value) in enumerate(table):
+        if value != 0:
+            raise RuntimeError(f"expected a vanishing Donaldson-Thomas number at m={m}, got {value}")
+    return table
 
 
 def dt_invariant(fibration: FibrationSpec, m: int) -> int:
@@ -211,6 +218,8 @@ def hilbert_euler_direct(chi: int, q_max: int) -> tuple[int, ...]:
     sigma(k) a_(n-k), where sigma(k) is the sum of the divisors of k: the
     logarithmic derivative of the product.  Every division by n is exact.
     """
+    if q_max < 0:
+        raise ValueError("truncation order must be nonnegative")
     sigma = [0] * (q_max + 1)
     for d in range(1, q_max + 1):
         for multiple in range(d, q_max + 1, d):
@@ -235,3 +244,29 @@ def ideal_sheaf_euler_direct(chi_total: int, chi_base: int, q_max: int) -> tuple
         running += prod[n - 1]
         out[n] = chi_total * running
     return tuple(out)
+
+
+def verify_series(
+    kind: str, surface: HodgeDiamond, fibration: FibrationSpec | None, series: TruncatedSeries
+) -> None:
+    """Check a Hodge series of the given kind ("hilb", "incidence" or "im1")
+    against the routes that do not build it.
+
+    Every coefficient must be symmetric under swapping s and t, and the
+    s = t = 1 specialization must equal the direct integer series of the
+    surface (``hilb``, ``incidence``) or of ``fibration`` (``im1``).  A
+    failure raises ``RuntimeError``.
+    """
+    if kind not in ("hilb", "incidence", "im1"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    for m, poly in enumerate(series.coefficients):
+        if poly.swap_variables() != poly:
+            raise RuntimeError(f"q^{m} coefficient is not symmetric under swapping s and t")
+    chi_base = surface.euler_number()
+    if kind == "hilb":
+        expected = hilbert_euler_direct(chi_base, series.q_max)
+    else:
+        chi_total = chi_base if kind == "incidence" else fibration.euler_number()
+        expected = ideal_sheaf_euler_direct(chi_total, chi_base, series.q_max)
+    if series.euler_sequence() != expected:
+        raise RuntimeError("Euler specialization disagrees with the direct integer series")

@@ -300,19 +300,6 @@ class TruncatedSeries:
         factor = _as_poly(factor)
         return TruncatedSeries._raw(self._q_max, tuple(c * factor for c in self._coeffs))
 
-    def q_shifted(self, n: int) -> "TruncatedSeries":
-        """Multiply by q^n within the same truncation window.
-
-        The bottom n coefficients of the result are zero and the top n
-        coefficients of the operand fall off the end of the window.
-        """
-        if n < 0:
-            raise ValueError("shift must be nonnegative")
-        if n == 0:
-            return self
-        kept = self._coeffs[: max(self._q_max + 1 - n, 0)]
-        return TruncatedSeries._raw(self._q_max, (_ZERO,) * min(n, self._q_max + 1) + kept)
-
     def swap_variables(self) -> "TruncatedSeries":
         return TruncatedSeries._raw(self._q_max, tuple(c.swap_variables() for c in self._coeffs))
 

@@ -29,7 +29,6 @@ from itertools import chain, islice
 from .polyseries import BivariatePolynomial, TruncatedSeries
 
 __all__ = [
-    "polynomial_from_terms",
     "series_to_json",
     "series_from_document",
     "euler_to_document",
@@ -47,16 +46,6 @@ SERIES_SCHEMA = "fiberdt.series.v1"
 
 #: Series kinds whose q^(n+1) coefficient carries the moduli label n.
 LABELED_KINDS = frozenset({"incidence", "im1"})
-
-
-def polynomial_from_terms(terms) -> BivariatePolynomial:
-    out = {}
-    for term in terms:
-        i, j, c = term["i"], term["j"], int(term["c"])
-        if (i, j) in out:
-            raise ValueError(f"duplicate term ({i}, {j}) in polynomial document")
-        out[(i, j)] = c
-    return BivariatePolynomial(out)
 
 
 def _label(kind: str, q: int) -> int | None:

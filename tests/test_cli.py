@@ -188,18 +188,14 @@ def test_golden_q50_digests(tmp_path):
     # sha256 of the JSON output at the cap for hilb, incidence and im1 (genus
     # 1) over k3 and abelian, plus hilb over p2, as recorded with the sparse
     # dictionary engine that the packed engine replaced.
-    formulas._hilbert_hodge_series_cached.cache_clear()
-    try:
-        for entry in GOLDEN_Q50:
-            target = tmp_path / "series.json"
-            start = time.perf_counter()
-            assert cli.main([*entry["argv"], "--out", str(target)]) == 0
-            elapsed = time.perf_counter() - start
-            assert hashlib.sha256(target.read_bytes()).hexdigest() == entry["sha256"], entry["argv"]
-            if entry["argv"][1:4] == ["hilb", "--surface", "abelian"]:
-                assert elapsed < ABELIAN_CAP_BUDGET_S
-    finally:
-        formulas._hilbert_hodge_series_cached.cache_clear()
+    for entry in GOLDEN_Q50:
+        target = tmp_path / "series.json"
+        start = time.perf_counter()
+        assert cli.main([*entry["argv"], "--out", str(target)]) == 0
+        elapsed = time.perf_counter() - start
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == entry["sha256"], entry["argv"]
+        if entry["argv"][1:4] == ["hilb", "--surface", "abelian"]:
+            assert elapsed < ABELIAN_CAP_BUDGET_S
 
 
 # A diamond with every entry at HODGE_CAP has the widest slots of any surface
@@ -214,13 +210,9 @@ def test_hodge_cap_diamond_within_budget(tmp_path):
     diamond = tmp_path / "cap.json"
     diamond.write_text(json.dumps({"dim": 2, "h": [[1, cap, cap], [cap, cap, cap], [cap, cap, 1]]}))
     argv = ["series", "hilb", "--surface", str(diamond), "--qmax", "30", "--format", "json"]
-    formulas._hilbert_hodge_series_cached.cache_clear()
-    try:
-        start = time.perf_counter()
-        assert cli.main([*argv, "--out", str(tmp_path / "series.json")]) == 0
-        assert time.perf_counter() - start < HODGE_CAP_Q30_BUDGET_S
-    finally:
-        formulas._hilbert_hodge_series_cached.cache_clear()
+    start = time.perf_counter()
+    assert cli.main([*argv, "--out", str(tmp_path / "series.json")]) == 0
+    assert time.perf_counter() - start < HODGE_CAP_Q30_BUDGET_S
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -241,13 +233,9 @@ def test_benchmark_digests_replay(tmp_path, monkeypatch):
     workloads.write_fixtures(requests.values(), tmp_path)
     monkeypatch.chdir(tmp_path)
     target = tmp_path / "out"
-    formulas._hilbert_hodge_series_cached.cache_clear()
-    try:
-        for key, digest in digests.items():
-            assert cli.main([*requests[key].argv, "--out", str(target)]) == 0, key
-            assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, key
-    finally:
-        formulas._hilbert_hodge_series_cached.cache_clear()
+    for key, digest in digests.items():
+        assert cli.main([*requests[key].argv, "--out", str(target)]) == 0, key
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, key
 
 
 # --- cache ----------------------------------------------------------------------

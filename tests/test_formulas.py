@@ -2,8 +2,10 @@ from math import comb
 
 import pytest
 
+from fiberdt import formulas
 from fiberdt.formulas import (
     dt_invariant,
+    dt_table,
     hilbert_euler,
     hilbert_euler_direct,
     hilbert_euler_series,
@@ -14,6 +16,7 @@ from fiberdt.formulas import (
     ideal_sheaf_hodge_series,
     moduli_dimension,
     nested_hodge_series,
+    verify_series,
 )
 from fiberdt.geometry import (
     FibrationSpec,
@@ -23,7 +26,7 @@ from fiberdt.geometry import (
     surface_with_euler_number,
 )
 from fiberdt.oracles import colored_partitions_count, nested_colored_count
-from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
+from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries, series_product
 
 SURFACES = surface_names()
 
@@ -273,6 +276,50 @@ def test_all_series_coefficients_symmetric():
                 assert poly.swap_variables() == poly
 
 
+# --- cross-checks ------------------------------------------------------------
+
+
+def _registry_series(name, q_max):
+    """(kind, surface, fibration, series) of every kind over the surface,
+    im1 at fiber genus 0, 1 and 2."""
+    S = surface(name)
+    yield "hilb", S, None, hilbert_hodge_series(S, q_max)
+    yield "incidence", S, None, nested_hodge_series(S, q_max)
+    for g in (0, 1, 2):
+        fib = FibrationSpec.from_surface_name(name, g)
+        yield "im1", S, fib, ideal_sheaf_hodge_series(fib, q_max)
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_verify_series_passes_on_every_registry_surface(name):
+    for q_max in range(9):
+        for kind, S, fib, series in _registry_series(name, q_max):
+            verify_series(kind, S, fib, series)
+
+
+def _with_extra_term(series, m, i, j):
+    coeffs = list(series.coefficients)
+    coeffs[m] = coeffs[m] + BivariatePolynomial.monomial(i, j)
+    return TruncatedSeries(series.q_max, coeffs)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    (((1, 0), "symmetric"), ((1, 1), "direct integer series")),
+    ids=("s-only-term", "extra-st-term"),
+)
+def test_verify_series_rejects_a_wrong_coefficient(extra, message):
+    for kind, S, fib, series in _registry_series("k3", 4):
+        with pytest.raises(RuntimeError, match=message):
+            verify_series(kind, S, fib, _with_extra_term(series, 3, *extra))
+
+
+def test_verify_series_rejects_an_unknown_kind():
+    S = surface("k3")
+    with pytest.raises(ValueError, match="unknown series kind"):
+        verify_series("nested", S, None, hilbert_hodge_series(S, 2))
+
+
 # --- Donaldson-Thomas --------------------------------------------------------
 
 
@@ -288,6 +335,22 @@ def test_dt_vanishes_on_trivial_canonical_surfaces():
         fib = FibrationSpec.from_surface_name(name, 1)
         for m in range(5):
             assert dt_invariant(fib, m) == 0
+
+
+def test_dt_table_runs_its_own_checks(monkeypatch):
+    fib = FibrationSpec.from_surface_name("k3", 1)
+
+    def wrong(*args):
+        return (0,) + (1,) * args[-1]  # the last argument is q_max
+
+    monkeypatch.setattr(formulas, "ideal_sheaf_euler_direct", wrong)
+    with pytest.raises(RuntimeError, match="direct integer series"):
+        dt_table(fib, 3)
+    # The same wrong Euler numbers on both routes pass the comparison but not
+    # the vanishing that the trivial-canonical setting forces.
+    monkeypatch.setattr(formulas, "ideal_sheaf_euler_sequence", wrong)
+    with pytest.raises(RuntimeError, match="vanishing Donaldson-Thomas number at m=0"):
+        dt_table(fib, 3)
 
 
 def test_dt_rejects_nontrivial_canonical_class():
@@ -335,6 +398,19 @@ def test_direct_route_negative_exponent():
 def test_direct_route_zero():
     assert hilbert_euler_direct(0, 4) == (1, 0, 0, 0, 0)
     assert ideal_sheaf_euler_direct(0, 0, 4) == (0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "route",
+    (
+        pytest.param(lambda q: hilbert_euler_direct(3, q), id="hilbert_euler_direct"),
+        pytest.param(lambda q: ideal_sheaf_euler_direct(0, 3, q), id="ideal_sheaf_euler_direct"),
+        pytest.param(lambda q: series_product([], q), id="series_product"),
+    ),
+)
+def test_routes_reject_a_negative_truncation_order(route):
+    with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+        route(-1)
 
 
 def test_direct_nested_prefix_sums():

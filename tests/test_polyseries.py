@@ -146,14 +146,6 @@ def test_series_mismatched_truncation_rejected():
         TruncatedSeries.one(2) + TruncatedSeries.one(3)
 
 
-def test_q_shifted():
-    s = TruncatedSeries(2, [ONE, ST, S])
-    shifted = s.q_shifted(1)
-    assert shifted.coefficient(0) == ZERO
-    assert shifted.coefficient(1) == ONE
-    assert shifted.coefficient(2) == ST
-
-
 @settings(max_examples=60)
 @given(series_triples())
 def test_series_ring_axioms(triple):

@@ -47,21 +47,15 @@ def reference_document(series, *, kind, surface_doc, surface_name=None, genus=No
 
 def test_polynomial_terms_sorted_and_stringly():
     poly = BivariatePolynomial({(2, 0): -7, (0, 0): 1, (1, 1): 10**30})
-    doc = written(TruncatedSeries(0, [poly]), kind="hilb", surface_doc=None)
+    series = TruncatedSeries(0, [poly])
+    doc = written(series, kind="hilb", surface_doc=None)
     terms = doc["coefficients"][0]["terms"]
     assert terms == [
         {"i": 0, "j": 0, "c": "1"},
         {"i": 1, "j": 1, "c": str(10**30)},
         {"i": 2, "j": 0, "c": "-7"},
     ]
-    assert serialize.polynomial_from_terms(terms) == poly
-
-
-def test_polynomial_from_terms_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate"):
-        serialize.polynomial_from_terms(
-            [{"i": 0, "j": 0, "c": "1"}, {"i": 0, "j": 0, "c": "2"}]
-        )
+    assert serialize.series_from_document(doc) == series
 
 
 def test_document_round_trip():
@@ -88,6 +82,12 @@ def test_document_labels():
         pytest.param(lambda d: d.update(extra=1), id="extra-key"),
         pytest.param(lambda d: d["coefficients"][2]["terms"].reverse(), id="unsorted-terms"),
         pytest.param(lambda d: d["coefficients"][1].update(m=0.0), id="float-label"),
+        pytest.param(
+            lambda d: d["coefficients"][1].update(
+                terms=[{"c": "1", "i": 0, "j": 0}, {"c": "2", "i": 0, "j": 0}]
+            ),
+            id="duplicate-term",
+        ),
     ),
 )
 def test_series_reader_rejects_what_the_writer_cannot_emit(edit):

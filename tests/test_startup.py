@@ -128,6 +128,10 @@ def test_public_names_match_the_source_map():
             ("series", "hilb", "--surface", "k3", "--qmax", "5", "--format", "json"),
             {"formulas.hilbert", "polyseries.product", "polyseries.symmetry"},
         ),
+        (
+            ("dt", "--surface", "k3", "--mmax", "3", "--format", "json"),
+            {"polyseries.product", "formulas.euler_direct"},
+        ),
     ),
 )
 def test_tracer_wraps_the_lazily_imported_functions(tmp_path, argv, spans):
