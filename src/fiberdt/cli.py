@@ -2,8 +2,9 @@
 
 Subcommands compute, cross-check, display and persist the generating series,
 the Donaldson-Thomas tables, the enumeration oracles and the local Hom
-reports.  Every command re-verifies its own output against an independent
-route before emitting it.
+reports.  The series, dt and localhom commands re-verify their output
+against an independent route before emitting it; oracle does so only with
+--check.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 failed internal
 cross-check.
@@ -167,7 +168,9 @@ def _load_json_file(name: str):
         raise ValueError(f"{name}: larger than the input file cap of {INPUT_FILE_CAP} bytes")
     try:
         return json.loads(data.decode())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json.loads recurses once per nesting level, so a deeply nested
+        # file raises RecursionError.
         raise ValueError(f"{name}: not valid JSON ({exc})") from None
 
 
@@ -224,20 +227,18 @@ def _cmd_series(args) -> None:
     path = series = None
     if args.cache:
         key_doc = {"kind": kind, "surface": surface_doc, "genus": genus, "q_max": args.q_max}
-        request = serialize.canonical_json(key_doc)
-        key = hashlib.sha256(request.encode()).hexdigest()[:16]
+        key = hashlib.sha256(serialize.canonical_json(key_doc).encode()).hexdigest()[:16]
         path = Path(args.cache) / f"{kind}-{key}.json"
         if path.exists():
             try:
-                doc = json.loads(path.read_text())
-                series = serialize.series_from_document(doc)
-                # An entry of another request is a miss too; compared as text,
-                # so that no true passes for a 1.
-                if serialize.canonical_json({k: doc[k] for k in key_doc}) != request:
-                    series = None
+                series = serialize.series_from_document(
+                    json.loads(path.read_text()),
+                    kind=kind, surface_doc=surface_doc, genus=genus, q_max=args.q_max,
+                )
             except (ValueError, RecursionError):
-                # An unusable entry is recomputed.  json.loads recurses once
-                # per nesting level, so a deeply nested one raises RecursionError.
+                # An unusable entry, or one of another request, is recomputed.
+                # json.loads recurses once per nesting level, so a deeply
+                # nested one raises RecursionError.
                 pass
     write_entry = path is not None and series is None
     if series is None:
@@ -266,10 +267,9 @@ def _cmd_series(args) -> None:
     if args.euler:
         values = series.euler_sequence()
         if args.format == "json":
-            doc = serialize.euler_to_document(
+            text = serialize.euler_to_json(
                 values, kind=kind, surface_doc=surface_doc, surface_name=name, genus=genus
             )
-            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         elif args.format == "csv":
             text = serialize.euler_to_csv(values, kind=kind)
         else:

@@ -99,7 +99,7 @@ class MonomialIdeal(namedtuple("MonomialIdeal", ("gens", "minimal"))):
     @classmethod
     def from_json(cls, triples) -> "MonomialIdeal":
         """Build from a JSON list of exponent triples."""
-        if not isinstance(triples, list):
+        if not isinstance(triples, list) or not all(isinstance(t, list) for t in triples):
             raise ValueError("ideal document must be a list of exponent triples")
         if len(triples) > SIZE_CAP:
             raise ValueError(f"{len(triples)} generators exceed the size cap {SIZE_CAP}")

@@ -6,14 +6,16 @@ long before the configured truncation cap.  All emission is deterministic:
 identical inputs yield byte-identical documents, and re-ingesting an emitted
 document reproduces the coefficients exactly.
 
-One writer, :func:`series_to_json`, renders a Hodge series document straight
-from the series: each term is rendered once in the compact form of
-:func:`canonical_json`, whose sha256 is the document's checksum, and once in
-the indented form of ``json.dumps(..., sort_keys=True, indent=2)`` that is
-emitted.  No dict per term is built.  Its one reader,
-:func:`series_from_document`, accepts only what the writer emits and feeds
-the checksum from the same templates while it reads the terms.  Euler
-documents are small and stay dicts; the readers take parsed JSON either way.
+The writers define the JSON format.  :func:`series_to_json` and
+:func:`euler_to_json` render a document straight from its values: each
+coefficient entry is rendered once in the compact form of
+:func:`canonical_json`, fed to the sha256 that is the document's checksum,
+and once in the indented form of ``json.dumps(..., sort_keys=True,
+indent=2)`` that is emitted.  No dict per entry is built.  The one Hodge
+reader, :func:`series_from_document`, rebuilds each coefficient and accepts
+its entry only when it is the compact entry the writer renders from that
+coefficient; the same entries feed the checksum.  The readers take parsed
+JSON.
 """
 
 from __future__ import annotations
@@ -22,24 +24,19 @@ import csv
 import hashlib
 import io
 import json
-import operator
-import re
-from itertools import chain, islice
 
 from .polyseries import BivariatePolynomial, TruncatedSeries
 
 __all__ = [
     "series_to_json",
     "series_from_document",
-    "euler_to_document",
+    "euler_to_json",
     "euler_from_document",
     "series_to_csv",
     "series_from_csv",
     "euler_to_csv",
     "euler_from_csv",
     "canonical_json",
-    "attach_checksum",
-    "checksum_ok",
 ]
 
 SERIES_SCHEMA = "fiberdt.series.v1"
@@ -66,21 +63,6 @@ def _metadata(kind: str, surface_doc, surface_name, genus, q_max: int, euler: bo
     }
 
 
-def euler_to_document(
-    values: tuple[int, ...],
-    *,
-    kind: str,
-    surface_doc,
-    surface_name: str | None = None,
-    genus: int | None = None,
-) -> dict:
-    doc = _metadata(kind, surface_doc, surface_name, genus, len(values) - 1, euler=True)
-    doc["coefficients"] = [
-        {"q": m, "m": _label(kind, m), "value": str(v)} for m, v in enumerate(values)
-    ]
-    return attach_checksum(doc)
-
-
 def euler_from_document(doc: dict) -> tuple[int, ...]:
     if doc.get("schema") != SERIES_SCHEMA or not doc.get("euler"):
         raise ValueError("not an Euler series document")
@@ -94,19 +76,50 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-# Each term and each coefficient entry in the compact form of canonical_json
-# and in the indented form of json.dumps(..., sort_keys=True, indent=2).
+# Each coefficient entry, Hodge (with its terms) or Euler, in the compact form
+# of canonical_json and in the indented form of json.dumps(..., sort_keys=True,
+# indent=2).
 _TERM = '{"c":"%s","i":%d,"j":%d}'
 _TERM_INDENTED = '        {\n          "c": "%s",\n          "i": %d,\n          "j": %d\n        }'
 _ENTRY = '{"m":%s,"q":%d,"terms":[%s]}'
 _ENTRY_INDENTED = '    {\n      "m": %s,\n      "q": %d,\n      "terms": %s\n    }'
+_EULER_ENTRY = '{"m":%s,"q":%d,"value":"%s"}'
+_EULER_ENTRY_INDENTED = '    {\n      "m": %s,\n      "q": %d,\n      "value": "%s"\n    }'
 
 
-def _digest_head(meta: dict):
-    """A sha256 fed with the compact document up to the first coefficient
-    entry, and the compact text that follows the last one."""
+def _label_json(kind: str, q: int) -> str:
+    label = _label(kind, q)
+    return "null" if label is None else str(label)
+
+
+def _term_rows(poly: BivariatePolynomial) -> list[tuple[str, int, int]]:
+    return [(str(c), i, j) for (i, j), c in sorted(poly.terms.items())]
+
+
+def _hodge_entry(m: str, q: int, rows) -> str:
+    """The compact coefficient entry of a Hodge document."""
+    return _ENTRY % (m, q, ",".join([_TERM % row for row in rows]))
+
+
+def _checksum(meta: dict, entries) -> str:
+    """The sha256 of ``canonical_json({**meta, "coefficients": [...]})``,
+    fed with the compact coefficient entries one at a time as ``entries``
+    yields them."""
     before, after = canonical_json({**meta, "coefficients": None}).split('"coefficients":null')
-    return hashlib.sha256(f'{before}"coefficients":['.encode()), f"]{after}"
+    digest = hashlib.sha256(f'{before}"coefficients":['.encode())
+    for q, entry in enumerate(entries):
+        digest.update((f",{entry}" if q else entry).encode())
+    digest.update(f"]{after}".encode())
+    return digest.hexdigest()
+
+
+def _document(meta: dict, checksum: str, entries: list[str]) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` of the document
+    with this metadata, checksum and indented coefficient entries."""
+    head = json.dumps({**meta, "checksum": checksum, "coefficients": None}, sort_keys=True, indent=2)
+    before, after = head.split('\n  "coefficients": null,')
+    coefficients = ",\n".join(entries)
+    return f'{before}\n  "coefficients": [\n{coefficients}\n  ],{after}\n'
 
 
 def series_to_json(
@@ -118,121 +131,81 @@ def series_to_json(
     genus: int | None = None,
 ) -> str:
     """The Hodge series document as ``json.dumps(doc, sort_keys=True,
-    indent=2) + "\n"``, with its checksum.
-
-    The metadata head goes through ``json.dumps`` with a placeholder for
-    ``coefficients``; the term lists are rendered by format strings.
-    """
+    indent=2) + "\n"``, with its checksum."""
     meta = _metadata(kind, surface_doc, surface_name, genus, series.q_max, euler=False)
-    digest, compact_after = _digest_head(meta)
-    entries = []
-    for q, poly in enumerate(series.coefficients):
-        label = _label(kind, q)
-        m = "null" if label is None else label
-        rows = [(str(c), i, j) for (i, j), c in sorted(poly.terms.items())]
-        entry = _ENTRY % (m, q, ",".join([_TERM % row for row in rows]))
-        digest.update((f",{entry}" if q else entry).encode())
-        terms = ",\n".join([_TERM_INDENTED % row for row in rows])
-        body = "[\n" + terms + "\n      ]" if rows else "[]"
-        entries.append(_ENTRY_INDENTED % (m, q, body))
-    digest.update(compact_after.encode())
-    head = json.dumps(
-        {**meta, "checksum": digest.hexdigest(), "coefficients": None}, sort_keys=True, indent=2
-    )
-    before, after = head.split('\n  "coefficients": null,')
-    coefficients = ",\n".join(entries)
-    return f'{before}\n  "coefficients": [\n{coefficients}\n  ],{after}\n'
+    indented = []
+
+    def entries():
+        for q, poly in enumerate(series.coefficients):
+            m, rows = _label_json(kind, q), _term_rows(poly)
+            terms = ",\n".join([_TERM_INDENTED % row for row in rows])
+            indented.append(_ENTRY_INDENTED % (m, q, f"[\n{terms}\n      ]" if rows else "[]"))
+            yield _hodge_entry(m, q, rows)
+
+    return _document(meta, _checksum(meta, entries()), indented)
 
 
-# The c of a term as series_to_json writes it: str() of a nonzero int.
-_DECIMAL = re.compile("-?[1-9][0-9]*").fullmatch
-_C, _I, _J = map(operator.itemgetter, "cij")
+def euler_to_json(
+    values: tuple[int, ...],
+    *,
+    kind: str,
+    surface_doc,
+    surface_name: str | None = None,
+    genus: int | None = None,
+) -> str:
+    """The Euler series document as ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\n"``, with its checksum."""
+    meta = _metadata(kind, surface_doc, surface_name, genus, len(values) - 1, euler=True)
+    rows = [(_label_json(kind, q), q, str(v)) for q, v in enumerate(values)]
+    checksum = _checksum(meta, [_EULER_ENTRY % row for row in rows])
+    return _document(meta, checksum, [_EULER_ENTRY_INDENTED % row for row in rows])
 
 
-def series_from_document(doc) -> TruncatedSeries:
-    """The series of a parsed Hodge series document, checked and read in one walk.
+def series_from_document(
+    doc, *, kind: str, surface_doc, genus: int | None, q_max: int
+) -> TruncatedSeries:
+    """The series of a parsed Hodge series document of this request.
 
-    ``doc`` must be exactly what :func:`series_to_json` writes, checksum
-    included; anything else raises ``ValueError``.  The checksum is fed with
-    each entry rendered by the writer's compact templates while the terms are
-    read, so the document is not encoded again.
+    ``doc`` must be exactly what :func:`series_to_json` writes for this
+    kind, surface, genus and q_max, under any ``surface_name``, checksum
+    included; anything else raises ``ValueError``.  Each coefficient is
+    built by the validating constructor, and its entry is accepted only when
+    it equals, as compact JSON, the entry the writer renders from that
+    coefficient.  Those entries feed the checksum, so the document is not
+    encoded again.
     """
     try:
-        return _read_series(doc)
-    except (KeyError, TypeError) as exc:
+        return _read_series(doc, kind, surface_doc, genus, q_max)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"not a Hodge series document: {exc!r}") from None
 
 
-def _read_series(doc) -> TruncatedSeries:
-    kind, q_max = doc["kind"], doc["q_max"]
-    if type(kind) is not str or type(q_max) is not int or q_max < 0:
-        raise ValueError("not a Hodge series document: kind or q_max")
+def _read_series(doc, kind, surface_doc, genus, q_max) -> TruncatedSeries:
     name = doc["surface_name"]
+    meta = _metadata(kind, surface_doc, name, genus, q_max, euler=False)
+    # Compared as text, so that no true passes for a 1 and no 0 for false.
+    blank = {"checksum": None, "coefficients": None}
+    if canonical_json({**doc, **blank}) != canonical_json({**meta, **blank}):
+        raise ValueError("not the Hodge series document of this request: metadata")
     if not (name is None or type(name) is str):
         raise ValueError("surface_name must be a string or null")
-    meta = _metadata(kind, doc["surface"], name, doc["genus"], q_max, euler=False)
-    head = {k: v for k, v in doc.items() if k not in ("checksum", "coefficients")}
-    # Compared as text, so that no true passes for a 1 and no 0 for false.
-    if len(doc) != len(meta) + 2 or canonical_json(head) != canonical_json(meta):
-        raise ValueError("not a Hodge series document: metadata")
     entries = doc["coefficients"]
-    if type(entries) is not list or len(entries) != q_max + 1:
+    if len(entries) != q_max + 1:
         raise ValueError("coefficient entries must cover q^0..q^q_max")
-    digest, compact_after = _digest_head(meta)
     coeffs = []
-    for q, entry in enumerate(entries):
-        label = _label(kind, q)
-        if (
-            type(entry) is not dict
-            or len(entry) != 3
-            or type(entry["q"]) is not int
-            or entry["q"] != q
-            or type(entry["m"]) is not type(label)
-            or entry["m"] != label
-            or type(entry["terms"]) is not list
-        ):
-            raise ValueError(f"q^{q}: not a coefficient entry of the writer")
-        terms = entry["terms"]
-        cs = list(map(_C, terms))
-        iss = list(map(_I, terms))
-        js = list(map(_J, terms))
-        keys = list(zip(iss, js))
-        # Each term has exactly c, i and j; the exponents are ints (no bools),
-        # nonnegative and strictly increasing; each c is str() of a nonzero int.
-        if not (
-            set(map(len, terms)) <= {3}
-            and set(map(type, iss)) | set(map(type, js)) <= {int}
-            and min(iss, default=0) >= 0
-            and min(js, default=0) >= 0
-            and set(map(type, cs)) <= {str}
-            and all(map(_DECIMAL, cs))
-            and all(map(operator.lt, keys, islice(keys, 1, None)))
-        ):
-            raise ValueError(f"q^{q}: terms differ from the writer's")
-        coeffs.append(BivariatePolynomial._raw(dict(zip(keys, map(int, cs)))))
-        m = "null" if label is None else label
-        rendered = ",".join([_TERM] * len(terms)) % tuple(chain.from_iterable(zip(cs, iss, js)))
-        text = _ENTRY % (m, q, rendered)
-        digest.update((f",{text}" if q else text).encode())
-    digest.update(compact_after.encode())
-    if doc["checksum"] != digest.hexdigest():
+
+    def checked():
+        for q, entry in enumerate(entries):
+            poly = BivariatePolynomial({(t["i"], t["j"]): int(t["c"]) for t in entry["terms"]})
+            text = _hodge_entry(_label_json(kind, q), q, _term_rows(poly))
+            if canonical_json(entry) != text:
+                raise ValueError(f"q^{q}: not a coefficient entry of the writer")
+            coeffs.append(poly)
+            yield text
+
+    if doc["checksum"] != _checksum(meta, checked()):
         raise ValueError("checksum mismatch")
-    return TruncatedSeries._raw(q_max, tuple(coeffs))
-
-
-def _payload_checksum(doc: dict) -> str:
-    payload = {k: v for k, v in doc.items() if k != "checksum"}
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-
-def attach_checksum(doc: dict) -> dict:
-    doc["checksum"] = _payload_checksum(doc)
-    return doc
-
-
-def checksum_ok(doc) -> bool:
-    """Whether ``doc`` is a JSON object whose checksum matches its payload."""
-    return isinstance(doc, dict) and doc.get("checksum") == _payload_checksum(doc)
+    return TruncatedSeries(q_max, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from fiberdt import cli, formulas, serialize
 from fiberdt.geometry import FibrationSpec, registry_lookup
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
+from test_serialize import reference_checksum, with_checksum
 
 
 def run(capsys, *argv):
@@ -91,8 +92,10 @@ def test_series_json_round_trip(capsys):
     code, out, _ = run(capsys, "series", "incidence", "--surface", "p1xp1", "--qmax", "4", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert serialize.checksum_ok(doc)
-    parsed = serialize.series_from_document(doc)
+    assert doc["checksum"] == reference_checksum(doc)
+    parsed = serialize.series_from_document(
+        doc, kind="incidence", surface_doc=registry_lookup("p1xp1").to_json(), genus=None, q_max=4
+    )
     expected = formulas.nested_hodge_series(registry_lookup("p1xp1"), 4)
     assert parsed == expected
 
@@ -301,7 +304,7 @@ def test_series_cache_tampered_payload_fails_crosscheck(tmp_path, capsys):
     entry = next(cache.glob("hilb-*.json"))
     doc = json.loads(entry.read_text())
     doc["coefficients"][1]["terms"][0]["c"] = "99"
-    serialize.attach_checksum(doc)  # checksum valid, payload wrong
+    with_checksum(doc)  # checksum valid, payload wrong
     entry.write_text(json.dumps(doc))
     code, _, err = run(capsys, *argv)
     assert code == 3
@@ -365,12 +368,13 @@ def test_series_cache_non_object_entry_recomputed(tmp_path, capsys, content):
     assert code == 0, err
     assert out == expected
     assert entry.read_text() == expected
-    assert serialize.checksum_ok(json.loads(entry.read_text()))
+    doc = json.loads(entry.read_text())
+    assert doc["checksum"] == reference_checksum(doc)
 
 
 def _retotal(doc):
     # A changed payload under a checksum that matches it again.
-    return json.dumps(serialize.attach_checksum(doc))
+    return json.dumps(with_checksum(doc))
 
 
 def _edit_term(edit):
@@ -529,6 +533,30 @@ def test_localhom_malformed_ideal_file(tmp_path, capsys):
     code, _, err = run(capsys, "localhom", "--dmax", "2", "--ideal-file", str(path))
     assert code == 2
     assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    (
+        pytest.param("localhom", "[" * 100_000, "not valid JSON", id="ideal-deeply-nested"),
+        pytest.param("series", "[" * 100_000, "not valid JSON", id="surface-deeply-nested"),
+        pytest.param("localhom", "[1, 2]", "exponent triples", id="ideal-integers"),
+        pytest.param("localhom", "[null]", "exponent triples", id="ideal-null"),
+        pytest.param("localhom", "[[1, 0, 0], 5]", "exponent triples", id="ideal-integer-after-triple"),
+    ),
+)
+def test_hostile_input_files_are_validation_errors(tmp_path, capsys, command, content, message):
+    # Under the byte cap, each of these once escaped as a RecursionError
+    # (exit 3) or a TypeError (a traceback, exit 1).
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    if command == "localhom":
+        argv = ("localhom", "--dmax", "2", "--ideal-file", str(path))
+    else:
+        argv = ("series", "hilb", "--surface", str(path), "--qmax", "2")
+    code, _, err = run(capsys, *argv)
+    assert code == 2, err
+    assert message in err
 
 
 def test_localhom_rejects_oversized_ideals_quickly(tmp_path, capsys):

@@ -19,6 +19,23 @@ def written(series, **keywords):
     return json.loads(serialize.series_to_json(series, **keywords))
 
 
+def reference_checksum(doc):
+    """The checksum of a document: the sha256 of ``canonical_json`` of the
+    document without its checksum."""
+    payload = {k: v for k, v in doc.items() if k != "checksum"}
+    return hashlib.sha256(serialize.canonical_json(payload).encode()).hexdigest()
+
+
+def with_checksum(doc):
+    """``doc`` under the checksum that matches its payload."""
+    doc["checksum"] = reference_checksum(doc)
+    return doc
+
+
+#: The request of the documents written from sample_series().
+SAMPLE_REQUEST = dict(kind="incidence", surface_doc=None, genus=None, q_max=3)
+
+
 def reference_document(series, *, kind, surface_doc, surface_name=None, genus=None):
     """The series document built as dicts, one per term: the layout that
     ``series_to_json`` renders without building it."""
@@ -41,8 +58,26 @@ def reference_document(series, *, kind, surface_doc, surface_name=None, genus=No
             for q, poly in enumerate(series.coefficients)
         ],
     }
-    doc["checksum"] = hashlib.sha256(serialize.canonical_json(doc).encode()).hexdigest()
-    return doc
+    return with_checksum(doc)
+
+
+def reference_euler_document(values, *, kind, surface_doc, surface_name=None, genus=None):
+    """The Euler document built as dicts: the layout that ``euler_to_json``
+    renders without building it."""
+    doc = {
+        "schema": "fiberdt.series.v1",
+        "kind": kind,
+        "surface_name": surface_name,
+        "surface": surface_doc,
+        "genus": genus,
+        "q_max": len(values) - 1,
+        "euler": True,
+        "coefficients": [
+            {"q": q, "m": q - 1 if kind in ("incidence", "im1") and q >= 1 else None, "value": str(v)}
+            for q, v in enumerate(values)
+        ],
+    }
+    return with_checksum(doc)
 
 
 def test_polynomial_terms_sorted_and_stringly():
@@ -55,7 +90,8 @@ def test_polynomial_terms_sorted_and_stringly():
         {"i": 1, "j": 1, "c": str(10**30)},
         {"i": 2, "j": 0, "c": "-7"},
     ]
-    assert serialize.series_from_document(doc) == series
+    request = dict(kind="hilb", surface_doc=None, genus=None, q_max=0)
+    assert serialize.series_from_document(doc, **request) == series
 
 
 def test_document_round_trip():
@@ -63,8 +99,10 @@ def test_document_round_trip():
     doc = written(
         series, kind="incidence", surface_doc=registry_lookup("k3").to_json(), surface_name="k3"
     )
-    assert serialize.checksum_ok(doc)
-    assert serialize.series_from_document(doc) == series
+    assert doc["checksum"] == reference_checksum(doc)
+    assert serialize.series_from_document(
+        doc, kind="incidence", surface_doc=registry_lookup("k3").to_json(), genus=None, q_max=3
+    ) == series
 
 
 def test_document_labels():
@@ -88,27 +126,62 @@ def test_document_labels():
             ),
             id="duplicate-term",
         ),
+        # int() accepts "+1", "1_0" and " 1"; none of these terms is the writer's.
+        pytest.param(lambda d: d["coefficients"][1]["terms"][0].update(c="0"), id="zero-c"),
+        pytest.param(lambda d: d["coefficients"][1]["terms"][0].update(i=-1), id="negative-exponent"),
+        pytest.param(lambda d: d["coefficients"][1]["terms"][0].update(c="+1"), id="plus-c"),
+        pytest.param(lambda d: d["coefficients"][1]["terms"][0].update(c="1_0"), id="underscore-c"),
+        pytest.param(lambda d: d["coefficients"][1]["terms"][0].update(c=" 1"), id="space-c"),
+        pytest.param(lambda d: d["coefficients"][1]["terms"][0].update(c=1), id="integer-c"),
+        pytest.param(lambda d: d["coefficients"][1]["terms"][2].update(i=1.0), id="float-exponent"),
+        pytest.param(lambda d: d.update(surface_name=["k3"]), id="list-surface_name"),
+        pytest.param(lambda d: d.pop("checksum"), id="no-checksum"),
     ),
 )
 def test_series_reader_rejects_what_the_writer_cannot_emit(edit):
     doc = written(sample_series(), kind="incidence", surface_doc=None)
     edit(doc)
-    serialize.attach_checksum(doc)  # the checksum matches the edited payload
+    if "checksum" in doc:
+        with_checksum(doc)  # the checksum matches the edited payload
     with pytest.raises(ValueError):
-        serialize.series_from_document(doc)
+        serialize.series_from_document(doc, **SAMPLE_REQUEST)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    (
+        pytest.param("c", "+1", id="plus-c"),
+        pytest.param("c", " 1", id="space-c"),
+        pytest.param("c", "01", id="leading-zero-c"),
+        pytest.param("c", "\u0661", id="non-ascii-c"),
+        pytest.param("c", 1, id="integer-c"),
+        pytest.param("i", 0.0, id="float-exponent"),
+        pytest.param("i", False, id="bool-exponent"),
+        pytest.param("x", 1, id="extra-term-key"),
+    ),
+)
+def test_series_reader_rejects_a_respelled_entry_under_the_writers_checksum(field, value):
+    # Each edit keeps the coefficient, so the checksum fed with the writer's
+    # rendering of the rebuilt coefficients still matches the writer's: only
+    # the comparison with that rendering rejects the entry.
+    doc = written(sample_series(), kind="incidence", surface_doc=None)
+    assert doc["coefficients"][1]["terms"][0] == {"c": "1", "i": 0, "j": 0}
+    doc["coefficients"][1]["terms"][0][field] = value
+    with pytest.raises(ValueError, match="writer"):
+        serialize.series_from_document(doc, **SAMPLE_REQUEST)
 
 
 def test_series_reader_rejects_a_stale_checksum():
     doc = written(sample_series(), kind="incidence", surface_doc=None)
     doc["coefficients"][1]["terms"][0]["c"] = "2"
     with pytest.raises(ValueError, match="checksum"):
-        serialize.series_from_document(doc)
+        serialize.series_from_document(doc, **SAMPLE_REQUEST)
 
 
 def test_checksum_detects_payload_change():
     doc = written(sample_series(), kind="incidence", surface_doc=None)
     doc["q_max"] = 7
-    assert not serialize.checksum_ok(doc)
+    assert doc["checksum"] != reference_checksum(doc)
 
 
 def test_document_json_stable():
@@ -136,7 +209,7 @@ def test_euler_csv_round_trip():
 
 def test_euler_document_round_trip():
     values = tuple(range(5))
-    doc = serialize.euler_to_document(values, kind="hilb", surface_doc=None)
+    doc = json.loads(serialize.euler_to_json(values, kind="hilb", surface_doc=None))
     assert serialize.euler_from_document(doc) == values
     with pytest.raises(ValueError, match="Euler"):
         serialize.euler_from_document(written(sample_series(), kind="hilb", surface_doc=None))
@@ -145,9 +218,9 @@ def test_euler_document_round_trip():
 def test_series_document_rejects_gaps():
     doc = written(sample_series(), kind="incidence", surface_doc=None)
     doc["coefficients"] = doc["coefficients"][:-1]
-    serialize.attach_checksum(doc)
+    with_checksum(doc)
     with pytest.raises(ValueError, match="q\\^0"):
-        serialize.series_from_document(doc)
+        serialize.series_from_document(doc, **SAMPLE_REQUEST)
 
 
 @pytest.mark.parametrize("q_max", (0, 1, 21))
@@ -172,8 +245,9 @@ def test_dump_series_document_equals_json_dumps(surface_name, kind, q_max):
     text = serialize.series_to_json(series, **keywords)
     assert text == json.dumps(reference_document(series, **keywords), sort_keys=True, indent=2) + "\n"
     doc = json.loads(text)
-    assert serialize.checksum_ok(doc)
-    assert serialize.series_from_document(doc) == series
+    assert doc["checksum"] == reference_checksum(doc)
+    request = dict(kind=kind, surface_doc=surface.to_json(), genus=genus, q_max=q_max)
+    assert serialize.series_from_document(doc, **request) == series
 
 
 def test_dump_series_document_negative_and_zero_coefficients():
@@ -184,3 +258,19 @@ def test_dump_series_document_negative_and_zero_coefficients():
     assert doc["coefficients"][1]["terms"] == []
     text = serialize.series_to_json(series, kind="im1", surface_doc=None, genus=2)
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("q_max", (0, 1, 21))
+@pytest.mark.parametrize("kind", ("hilb", "incidence", "im1"))
+@pytest.mark.parametrize("surface_name", ("k3", None))
+def test_euler_to_json_equals_json_dumps(surface_name, kind, q_max):
+    # Negative values, and values above 2^64 from q = 1 on.
+    values = tuple((-1) ** q * (2**64 + q) if q % 3 else q - 5 for q in range(q_max + 1))
+    genus = 1 if kind == "im1" else None
+    keywords = dict(
+        kind=kind, surface_doc=registry_lookup("k3").to_json(), surface_name=surface_name, genus=genus
+    )
+    text = serialize.euler_to_json(values, **keywords)
+    reference = reference_euler_document(values, **keywords)
+    assert text == json.dumps(reference, sort_keys=True, indent=2) + "\n"
+    assert serialize.euler_from_document(json.loads(text)) == values

@@ -150,3 +150,30 @@ def test_tracer_wraps_the_lazily_imported_functions(tmp_path, argv, spans):
     assert traced.stdout == plain.stdout
     names = {span[0] for span in json.loads(spans_file.read_text())["spans"]}
     assert spans <= names
+
+
+def test_tracer_reads_a_cache_hit_like_the_plain_run(tmp_path):
+    if not TRACER.is_file():
+        pytest.skip("perfbench/ is not part of this tree")
+    cache = tmp_path / "cache"
+    argv = (
+        "series", "hilb", "--surface", "k3", "--qmax", "5", "--format", "json",
+        "--cache", str(cache),
+    )
+    plain = [sys.executable, "-m", "fiberdt", *argv]
+    miss = subprocess.run(plain, env=_env(), capture_output=True, timeout=60)
+    assert miss.returncode == 0, miss.stderr
+    entries = {p.name: p.read_bytes() for p in cache.iterdir()}
+    spans_file = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(TRACER), str(spans_file), *argv],
+        env=_env(), capture_output=True, timeout=60,
+    )
+    hit = subprocess.run(plain, env=_env(), capture_output=True, timeout=60)
+    assert traced.returncode == 0, traced.stderr
+    assert hit.returncode == 0, hit.stderr
+    assert traced.stdout == hit.stdout == miss.stdout
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == entries
+    names = {span[0] for span in json.loads(spans_file.read_text())["spans"]}
+    assert {"cache.read", "serialize.parse"} <= names
+    assert "cache.write" not in names  # a hit: the entry was read, not rewritten
