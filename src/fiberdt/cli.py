@@ -232,13 +232,12 @@ def _cmd_series(args) -> None:
         if path.exists():
             try:
                 series = serialize.series_from_document(
-                    json.loads(path.read_text()),
+                    path.read_text(),
                     kind=kind, surface_doc=surface_doc, genus=genus, q_max=args.q_max,
                 )
-            except (ValueError, RecursionError):
-                # An unusable entry, or one of another request, is recomputed.
-                # json.loads recurses once per nesting level, so a deeply
-                # nested one raises RecursionError.
+            except ValueError:
+                # An entry that is not the writer's bytes for this request is
+                # recomputed.
                 pass
     write_entry = path is not None and series is None
     if series is None:
@@ -273,24 +272,16 @@ def _cmd_series(args) -> None:
         elif args.format == "csv":
             text = serialize.euler_to_csv(values, kind=kind)
         else:
-            text = _series_text(kind, name, values, " euler")
+            text = serialize.series_to_text(values, kind=kind, surface_name=name, euler=True)
     elif args.format == "json":
         text = hodge_json
     elif args.format == "csv":
         text = serialize.series_to_csv(series, kind=kind)
     else:
-        text = _series_text(kind, name, series.coefficients, "")
+        text = serialize.series_to_text(
+            series.coefficients, kind=kind, surface_name=name, euler=False
+        )
     _emit(text, args.out)
-
-
-def _series_text(kind: str, name: str | None, values, suffix: str) -> str:
-    from . import serialize
-
-    lines = [f"# kind={kind} surface={name or 'custom'} q_max={len(values) - 1}{suffix}"]
-    for m, value in enumerate(values):
-        label = serialize._label(kind, m)
-        lines.append(f"q^{m}: {value}" if label is None else f"q^{m} (m={label}): {value}")
-    return "\n".join(lines) + "\n"
 
 
 def _compute_series(kind: str, surface, fibration, q_max: int):

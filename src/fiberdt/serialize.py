@@ -1,28 +1,24 @@
-"""JSON and CSV wire formats for series documents.
+"""JSON, CSV and text formats for series documents.
 
 Polynomial coefficients serialize as sorted sparse term lists with the
 integer rendered as a decimal string, since values outgrow 64-bit integers
 long before the configured truncation cap.  All emission is deterministic:
-identical inputs yield byte-identical documents, and re-ingesting an emitted
-document reproduces the coefficients exactly.
+identical inputs yield byte-identical documents.
 
-The writers define the JSON format.  :func:`series_to_json` and
-:func:`euler_to_json` render a document straight from its values: each
-coefficient entry is rendered once in the compact form of
-:func:`canonical_json`, fed to the sha256 that is the document's checksum,
-and once in the indented form of ``json.dumps(..., sort_keys=True,
-indent=2)`` that is emitted.  No dict per entry is built.  The one Hodge
-reader, :func:`series_from_document`, rebuilds each coefficient and accepts
-its entry only when it is the compact entry the writer renders from that
-coefficient; the same entries feed the checksum.  The readers take parsed
-JSON.
+The writers define every format.  :func:`series_to_json` and
+:func:`euler_to_json` render each coefficient entry once, in the indented
+form of ``json.dumps(..., sort_keys=True, indent=2)`` that is emitted.  The
+checksum is the sha256 of the compact form of :func:`canonical_json`, which
+is those entries with spaces and newlines deleted: no value inside an entry
+contains either.  Each reader parses its text, rebuilds the values with the
+validating constructors, renders them again with the writer and accepts
+only identical bytes, so a document reads back exactly when the writer
+could have written it.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 
 from .polyseries import BivariatePolynomial, TruncatedSeries
@@ -36,6 +32,7 @@ __all__ = [
     "series_from_csv",
     "euler_to_csv",
     "euler_from_csv",
+    "series_to_text",
     "canonical_json",
 ]
 
@@ -44,11 +41,14 @@ SERIES_SCHEMA = "fiberdt.series.v1"
 #: Series kinds whose q^(n+1) coefficient carries the moduli label n.
 LABELED_KINDS = frozenset({"incidence", "im1"})
 
+# What a reader turns into ValueError: a value of the wrong type or shape, a
+# number out of range, or JSON nested deeper than json.loads recurses.
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError)
 
-def _label(kind: str, q: int) -> int | None:
-    if kind in LABELED_KINDS and q >= 1:
-        return q - 1
-    return None
+
+def _label(kind: str, q: int, unlabeled: str) -> str:
+    """The moduli label of the q^q coefficient as text, or ``unlabeled``."""
+    return str(q - 1) if kind in LABELED_KINDS and q >= 1 else unlabeled
 
 
 def _metadata(kind: str, surface_doc, surface_name, genus, q_max: int, euler: bool) -> dict:
@@ -63,62 +63,29 @@ def _metadata(kind: str, surface_doc, surface_name, genus, q_max: int, euler: bo
     }
 
 
-def euler_from_document(doc: dict) -> tuple[int, ...]:
-    if doc.get("schema") != SERIES_SCHEMA or not doc.get("euler"):
-        raise ValueError("not an Euler series document")
-    entries = doc["coefficients"]
-    if [e["q"] for e in entries] != list(range(doc["q_max"] + 1)):
-        raise ValueError("coefficient entries must cover q^0..q^q_max in order")
-    return tuple(int(e["value"]) for e in entries)
-
-
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-# Each coefficient entry, Hodge (with its terms) or Euler, in the compact form
-# of canonical_json and in the indented form of json.dumps(..., sort_keys=True,
-# indent=2).
-_TERM = '{"c":"%s","i":%d,"j":%d}'
-_TERM_INDENTED = '        {\n          "c": "%s",\n          "i": %d,\n          "j": %d\n        }'
-_ENTRY = '{"m":%s,"q":%d,"terms":[%s]}'
-_ENTRY_INDENTED = '    {\n      "m": %s,\n      "q": %d,\n      "terms": %s\n    }'
-_EULER_ENTRY = '{"m":%s,"q":%d,"value":"%s"}'
-_EULER_ENTRY_INDENTED = '    {\n      "m": %s,\n      "q": %d,\n      "value": "%s"\n    }'
+# Each coefficient entry, Hodge (with its terms) or Euler, as json.dumps(...,
+# sort_keys=True, indent=2) renders it inside the document.
+_TERM = '        {\n          "c": "%s",\n          "i": %d,\n          "j": %d\n        }'
+_ENTRY = '    {\n      "m": %s,\n      "q": %d,\n      "terms": %s\n    }'
+_EULER_ENTRY = '    {\n      "m": %s,\n      "q": %d,\n      "value": "%s"\n    }'
 
 
-def _label_json(kind: str, q: int) -> str:
-    label = _label(kind, q)
-    return "null" if label is None else str(label)
-
-
-def _term_rows(poly: BivariatePolynomial) -> list[tuple[str, int, int]]:
-    return [(str(c), i, j) for (i, j), c in sorted(poly.terms.items())]
-
-
-def _hodge_entry(m: str, q: int, rows) -> str:
-    """The compact coefficient entry of a Hodge document."""
-    return _ENTRY % (m, q, ",".join([_TERM % row for row in rows]))
-
-
-def _checksum(meta: dict, entries) -> str:
-    """The sha256 of ``canonical_json({**meta, "coefficients": [...]})``,
-    fed with the compact coefficient entries one at a time as ``entries``
-    yields them."""
+def _document(meta: dict, coefficients: str) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` of the document
+    with this metadata and these indented coefficient entries, joined by
+    ``",\n"``, under its checksum: the sha256 of ``canonical_json`` of the
+    document without it.  The head keeps ``canonical_json``, because a
+    ``surface_name`` may contain spaces."""
     before, after = canonical_json({**meta, "coefficients": None}).split('"coefficients":null')
     digest = hashlib.sha256(f'{before}"coefficients":['.encode())
-    for q, entry in enumerate(entries):
-        digest.update((f",{entry}" if q else entry).encode())
+    digest.update(coefficients.encode().translate(None, b" \n"))
     digest.update(f"]{after}".encode())
-    return digest.hexdigest()
-
-
-def _document(meta: dict, checksum: str, entries: list[str]) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` of the document
-    with this metadata, checksum and indented coefficient entries."""
-    head = json.dumps({**meta, "checksum": checksum, "coefficients": None}, sort_keys=True, indent=2)
-    before, after = head.split('\n  "coefficients": null,')
-    coefficients = ",\n".join(entries)
+    doc = {**meta, "checksum": digest.hexdigest(), "coefficients": None}
+    before, after = json.dumps(doc, sort_keys=True, indent=2).split('\n  "coefficients": null,')
     return f'{before}\n  "coefficients": [\n{coefficients}\n  ],{after}\n'
 
 
@@ -133,16 +100,14 @@ def series_to_json(
     """The Hodge series document as ``json.dumps(doc, sort_keys=True,
     indent=2) + "\n"``, with its checksum."""
     meta = _metadata(kind, surface_doc, surface_name, genus, series.q_max, euler=False)
-    indented = []
+    return _document(meta, ",\n".join(_hodge_entries(series, kind)))
 
-    def entries():
-        for q, poly in enumerate(series.coefficients):
-            m, rows = _label_json(kind, q), _term_rows(poly)
-            terms = ",\n".join([_TERM_INDENTED % row for row in rows])
-            indented.append(_ENTRY_INDENTED % (m, q, f"[\n{terms}\n      ]" if rows else "[]"))
-            yield _hodge_entry(m, q, rows)
 
-    return _document(meta, _checksum(meta, entries()), indented)
+def _hodge_entries(series: TruncatedSeries, kind: str):
+    """The indented coefficient entries; only their join outlives the call."""
+    for q, poly in enumerate(series.coefficients):
+        terms = ",\n".join([_TERM % (c, i, j) for (i, j), c in sorted(poly.terms.items())])
+        yield _ENTRY % (_label(kind, q, "null"), q, f"[\n{terms}\n      ]" if terms else "[]")
 
 
 def euler_to_json(
@@ -156,118 +121,125 @@ def euler_to_json(
     """The Euler series document as ``json.dumps(doc, sort_keys=True,
     indent=2) + "\n"``, with its checksum."""
     meta = _metadata(kind, surface_doc, surface_name, genus, len(values) - 1, euler=True)
-    rows = [(_label_json(kind, q), q, str(v)) for q, v in enumerate(values)]
-    checksum = _checksum(meta, [_EULER_ENTRY % row for row in rows])
-    return _document(meta, checksum, [_EULER_ENTRY_INDENTED % row for row in rows])
+    entries = [_EULER_ENTRY % (_label(kind, q, "null"), q, v) for q, v in enumerate(values)]
+    return _document(meta, ",\n".join(entries))
 
 
 def series_from_document(
-    doc, *, kind: str, surface_doc, genus: int | None, q_max: int
+    text: str, *, kind: str, surface_doc, genus: int | None, q_max: int
 ) -> TruncatedSeries:
-    """The series of a parsed Hodge series document of this request.
+    """The series of a Hodge series document of this request.
 
-    ``doc`` must be exactly what :func:`series_to_json` writes for this
-    kind, surface, genus and q_max, under any ``surface_name``, checksum
-    included; anything else raises ``ValueError``.  Each coefficient is
-    built by the validating constructor, and its entry is accepted only when
-    it equals, as compact JSON, the entry the writer renders from that
-    coefficient.  Those entries feed the checksum, so the document is not
-    encoded again.
+    ``text`` must be exactly what :func:`series_to_json` writes for this
+    kind, surface, genus and q_max under the document's own
+    ``surface_name`` (a string or null), checksum included; anything else
+    raises ``ValueError``.
     """
     try:
-        return _read_series(doc, kind, surface_doc, genus, q_max)
-    except (KeyError, TypeError, OverflowError) as exc:
+        doc = json.loads(text)
+        name = doc["surface_name"]
+        series = TruncatedSeries(q_max, [
+            BivariatePolynomial({(t["i"], t["j"]): int(t["c"]) for t in entry["terms"]})
+            for entry in doc["coefficients"]
+        ])
+        del doc  # so that a large entry is not held twice while it is rendered
+        written = series_to_json(
+            series, kind=kind, surface_doc=surface_doc,
+            surface_name=name if type(name) is str else None, genus=genus,
+        )
+    except _MALFORMED as exc:
         raise ValueError(f"not a Hodge series document: {exc!r}") from None
+    if text != written:
+        raise ValueError("not the Hodge series document the writer renders for this request")
+    return series
 
 
-def _read_series(doc, kind, surface_doc, genus, q_max) -> TruncatedSeries:
-    name = doc["surface_name"]
-    meta = _metadata(kind, surface_doc, name, genus, q_max, euler=False)
-    # Compared as text, so that no true passes for a 1 and no 0 for false.
-    blank = {"checksum": None, "coefficients": None}
-    if canonical_json({**doc, **blank}) != canonical_json({**meta, **blank}):
-        raise ValueError("not the Hodge series document of this request: metadata")
-    if not (name is None or type(name) is str):
-        raise ValueError("surface_name must be a string or null")
-    entries = doc["coefficients"]
-    if len(entries) != q_max + 1:
-        raise ValueError("coefficient entries must cover q^0..q^q_max")
-    coeffs = []
-
-    def checked():
-        for q, entry in enumerate(entries):
-            poly = BivariatePolynomial({(t["i"], t["j"]): int(t["c"]) for t in entry["terms"]})
-            text = _hodge_entry(_label_json(kind, q), q, _term_rows(poly))
-            if canonical_json(entry) != text:
-                raise ValueError(f"q^{q}: not a coefficient entry of the writer")
-            coeffs.append(poly)
-            yield text
-
-    if doc["checksum"] != _checksum(meta, checked()):
-        raise ValueError("checksum mismatch")
-    return TruncatedSeries(q_max, coeffs)
+def euler_from_document(text: str) -> tuple[int, ...]:
+    """The values of an Euler series document: exactly what
+    :func:`euler_to_json` writes under the document's own metadata."""
+    try:
+        doc = json.loads(text)
+        values = tuple([int(entry["value"]) for entry in doc["coefficients"]])
+        written = euler_to_json(
+            values, kind=doc["kind"], surface_doc=doc["surface"],
+            surface_name=doc["surface_name"], genus=doc["genus"],
+        )
+    except _MALFORMED as exc:
+        raise ValueError(f"not an Euler series document: {exc!r}") from None
+    if text != written:
+        raise ValueError("not the Euler series document the writer renders")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # CSV.  Hodge rows are q,m,i,j,c with one marker row (empty i and j) for a
 # zero coefficient so every q in 0..q_max appears; Euler rows are q,m,value.
+# No field holds a comma, a quote or a newline, so none is quoted.
 # ---------------------------------------------------------------------------
 
 
 def series_to_csv(series: TruncatedSeries, *, kind: str) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "m", "i", "j", "c"])
-    for m, poly in enumerate(series.coefficients):
-        label = _label(kind, m)
-        label_field = "" if label is None else label
-        items = sorted(poly.terms.items())
-        if not items:
-            writer.writerow([m, label_field, "", "", "0"])
-            continue
-        for (i, j), c in items:
-            writer.writerow([m, label_field, i, j, str(c)])
-    return buf.getvalue()
-
-
-def series_from_csv(text: str) -> TruncatedSeries:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["q", "m", "i", "j", "c"]:
-        raise ValueError("not a Hodge series CSV document")
-    polys: dict[int, dict[tuple[int, int], int]] = {}
-    for row in rows[1:]:
-        if not row:
-            continue
-        q = int(row[0])
-        terms = polys.setdefault(q, {})
-        if row[2] == "":
-            continue  # zero-coefficient marker
-        terms[(int(row[2]), int(row[3]))] = int(row[4])
-    if not polys or sorted(polys) != list(range(max(polys) + 1)):
-        raise ValueError("CSV rows must cover q^0..q^q_max")
-    q_max = max(polys)
-    return TruncatedSeries(q_max, [BivariatePolynomial(polys[m]) for m in range(q_max + 1)])
+    lines = ["q,m,i,j,c\n"]
+    for q, poly in enumerate(series.coefficients):
+        head = f"{q},{_label(kind, q, '')}"
+        rows = [f"{head},{i},{j},{c}\n" for (i, j), c in sorted(poly.terms.items())]
+        lines += rows or [f"{head},,,0\n"]
+    return "".join(lines)
 
 
 def euler_to_csv(values: tuple[int, ...], *, kind: str) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "m", "value"])
-    for m, v in enumerate(values):
-        label = _label(kind, m)
-        writer.writerow([m, "" if label is None else label, str(v)])
-    return buf.getvalue()
+    rows = [f"{q},{_label(kind, q, '')},{v}\n" for q, v in enumerate(values)]
+    return "q,m,value\n" + "".join(rows)
+
+
+def _csv_rows(text: str) -> tuple[list[list[str]], str]:
+    """The fields of each row below the header, and a kind with the labels of
+    its m column: the kinds differ only in their labels, which a labeled kind
+    writes from q^1 on, so the last row shows them."""
+    rows = [line.split(",") for line in text.split("\n")[1:-1]]
+    return rows, "im1" if rows[-1][1] else "hilb"
+
+
+def series_from_csv(text: str) -> TruncatedSeries:
+    """The series of exactly what :func:`series_to_csv` writes."""
+    try:
+        rows, kind = _csv_rows(text)
+        polys: dict[int, dict[tuple[int, int], int]] = {}
+        for q, _, i, j, c in rows:
+            terms = polys.setdefault(int(q), {})
+            if i:  # else the marker row of a zero coefficient
+                terms[int(i), int(j)] = int(c)
+        coefficients = [BivariatePolynomial(polys[q]) for q in range(len(polys))]
+        series = TruncatedSeries(len(coefficients) - 1, coefficients)
+        written = series_to_csv(series, kind=kind)
+    except _MALFORMED as exc:
+        raise ValueError(f"not a Hodge series CSV document: {exc!r}") from None
+    if text != written:
+        raise ValueError("not the Hodge series CSV document the writer renders")
+    return series
 
 
 def euler_from_csv(text: str) -> tuple[int, ...]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["q", "m", "value"]:
-        raise ValueError("not an Euler series CSV document")
-    values: dict[int, int] = {}
-    for row in rows[1:]:
-        if not row:
-            continue
-        values[int(row[0])] = int(row[2])
-    if not values or sorted(values) != list(range(max(values) + 1)):
-        raise ValueError("CSV rows must cover q^0..q^q_max")
-    return tuple(values[m] for m in range(max(values) + 1))
+    """The values of exactly what :func:`euler_to_csv` writes."""
+    try:
+        rows, kind = _csv_rows(text)
+        by_q = {int(q): int(v) for q, _, v in rows}
+        values = tuple([by_q[q] for q in range(len(by_q))])
+        written = euler_to_csv(values, kind=kind)
+    except _MALFORMED as exc:
+        raise ValueError(f"not an Euler series CSV document: {exc!r}") from None
+    if text != written:
+        raise ValueError("not the Euler series CSV document the writer renders")
+    return values
+
+
+def series_to_text(coefficients, *, kind: str, surface_name: str | None, euler: bool) -> str:
+    """A header line, then one line per coefficient: a polynomial, or with
+    ``euler`` an Euler number."""
+    suffix = " euler" if euler else ""
+    name = surface_name or "custom"
+    lines = [f"# kind={kind} surface={name} q_max={len(coefficients) - 1}{suffix}"]
+    for q, value in enumerate(coefficients):
+        label = _label(kind, q, "")
+        lines.append(f"q^{q} (m={label}): {value}" if label else f"q^{q}: {value}")
+    return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ import pytest
 from fiberdt import cli, formulas, serialize
 from fiberdt.geometry import FibrationSpec, registry_lookup
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
-from test_serialize import reference_checksum, with_checksum
+from test_serialize import reference_checksum, with_checksum, writer_layout
 
 
 def run(capsys, *argv):
@@ -94,7 +94,7 @@ def test_series_json_round_trip(capsys):
     doc = json.loads(out)
     assert doc["checksum"] == reference_checksum(doc)
     parsed = serialize.series_from_document(
-        doc, kind="incidence", surface_doc=registry_lookup("p1xp1").to_json(), genus=None, q_max=4
+        out, kind="incidence", surface_doc=registry_lookup("p1xp1").to_json(), genus=None, q_max=4
     )
     expected = formulas.nested_hodge_series(registry_lookup("p1xp1"), 4)
     assert parsed == expected
@@ -123,8 +123,7 @@ def test_series_euler_json_round_trip(capsys):
         "--euler", "--format", "json",
     )
     assert code == 0
-    doc = json.loads(out)
-    assert serialize.euler_from_document(doc) == (1, 0, 0, 0, 0, 0)
+    assert serialize.euler_from_document(out) == (1, 0, 0, 0, 0, 0)
 
 
 def test_series_surface_file(tmp_path, capsys):
@@ -305,7 +304,7 @@ def test_series_cache_tampered_payload_fails_crosscheck(tmp_path, capsys):
     doc = json.loads(entry.read_text())
     doc["coefficients"][1]["terms"][0]["c"] = "99"
     with_checksum(doc)  # checksum valid, payload wrong
-    entry.write_text(json.dumps(doc))
+    entry.write_text(writer_layout(doc))
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "direct integer series" in err
@@ -373,8 +372,9 @@ def test_series_cache_non_object_entry_recomputed(tmp_path, capsys, content):
 
 
 def _retotal(doc):
-    # A changed payload under a checksum that matches it again.
-    return json.dumps(with_checksum(doc))
+    # A changed payload under a checksum that matches it again, in the
+    # writer's layout, so that only the edit makes the entry a miss.
+    return writer_layout(with_checksum(doc))
 
 
 def _edit_term(edit):
@@ -404,7 +404,7 @@ def _edit_head(edit):
 def _tamper_coefficient(text):
     doc = json.loads(text)
     doc["coefficients"][1]["terms"][0]["c"] = "2"
-    return json.dumps(doc)  # stale checksum
+    return writer_layout(doc)  # stale checksum
 
 
 @pytest.mark.parametrize(
@@ -420,6 +420,7 @@ def _tamper_coefficient(text):
         pytest.param(_replace_entry, id="non-object-coefficient-entry"),
         pytest.param(_edit_head(lambda d: d.update(genus=1)), id="other-request"),
         pytest.param(_edit_head(lambda d: d.update(euler=0)), id="euler-zero"),
+        pytest.param(lambda text: json.dumps(json.loads(text)), id="compact-layout"),
     ),
 )
 def test_series_cache_entry_the_writer_could_not_produce_is_rewritten(tmp_path, capsys, tamper):

@@ -19,6 +19,11 @@ def written(series, **keywords):
     return json.loads(serialize.series_to_json(series, **keywords))
 
 
+def writer_layout(doc):
+    """``doc`` as text in the layout the JSON writers emit."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def reference_checksum(doc):
     """The checksum of a document: the sha256 of ``canonical_json`` of the
     document without its checksum."""
@@ -83,25 +88,26 @@ def reference_euler_document(values, *, kind, surface_doc, surface_name=None, ge
 def test_polynomial_terms_sorted_and_stringly():
     poly = BivariatePolynomial({(2, 0): -7, (0, 0): 1, (1, 1): 10**30})
     series = TruncatedSeries(0, [poly])
-    doc = written(series, kind="hilb", surface_doc=None)
-    terms = doc["coefficients"][0]["terms"]
+    text = serialize.series_to_json(series, kind="hilb", surface_doc=None)
+    terms = json.loads(text)["coefficients"][0]["terms"]
     assert terms == [
         {"i": 0, "j": 0, "c": "1"},
         {"i": 1, "j": 1, "c": str(10**30)},
         {"i": 2, "j": 0, "c": "-7"},
     ]
     request = dict(kind="hilb", surface_doc=None, genus=None, q_max=0)
-    assert serialize.series_from_document(doc, **request) == series
+    assert serialize.series_from_document(text, **request) == series
 
 
 def test_document_round_trip():
     series = sample_series()
-    doc = written(
+    text = serialize.series_to_json(
         series, kind="incidence", surface_doc=registry_lookup("k3").to_json(), surface_name="k3"
     )
+    doc = json.loads(text)
     assert doc["checksum"] == reference_checksum(doc)
     assert serialize.series_from_document(
-        doc, kind="incidence", surface_doc=registry_lookup("k3").to_json(), genus=None, q_max=3
+        text, kind="incidence", surface_doc=registry_lookup("k3").to_json(), genus=None, q_max=3
     ) == series
 
 
@@ -144,7 +150,7 @@ def test_series_reader_rejects_what_the_writer_cannot_emit(edit):
     if "checksum" in doc:
         with_checksum(doc)  # the checksum matches the edited payload
     with pytest.raises(ValueError):
-        serialize.series_from_document(doc, **SAMPLE_REQUEST)
+        serialize.series_from_document(writer_layout(doc), **SAMPLE_REQUEST)
 
 
 @pytest.mark.parametrize(
@@ -161,21 +167,25 @@ def test_series_reader_rejects_what_the_writer_cannot_emit(edit):
     ),
 )
 def test_series_reader_rejects_a_respelled_entry_under_the_writers_checksum(field, value):
-    # Each edit keeps the coefficient, so the checksum fed with the writer's
-    # rendering of the rebuilt coefficients still matches the writer's: only
-    # the comparison with that rendering rejects the entry.
+    # Each edit keeps the coefficient, so the writer's rendering of the rebuilt
+    # series, checksum included, still matches the document everywhere but in
+    # the respelled entry.
     doc = written(sample_series(), kind="incidence", surface_doc=None)
     assert doc["coefficients"][1]["terms"][0] == {"c": "1", "i": 0, "j": 0}
     doc["coefficients"][1]["terms"][0][field] = value
     with pytest.raises(ValueError, match="writer"):
-        serialize.series_from_document(doc, **SAMPLE_REQUEST)
+        serialize.series_from_document(writer_layout(doc), **SAMPLE_REQUEST)
 
 
 def test_series_reader_rejects_a_stale_checksum():
     doc = written(sample_series(), kind="incidence", surface_doc=None)
     doc["coefficients"][1]["terms"][0]["c"] = "2"
-    with pytest.raises(ValueError, match="checksum"):
-        serialize.series_from_document(doc, **SAMPLE_REQUEST)
+    with pytest.raises(ValueError, match="writer"):
+        serialize.series_from_document(writer_layout(doc), **SAMPLE_REQUEST)
+    # The same edit under its own checksum is a document the writer renders,
+    # so only the stale checksum rejected it.
+    edited = serialize.series_from_document(writer_layout(with_checksum(doc)), **SAMPLE_REQUEST)
+    assert edited.coefficient(1).coefficient(0, 0) == 2
 
 
 def test_checksum_detects_payload_change():
@@ -209,18 +219,47 @@ def test_euler_csv_round_trip():
 
 def test_euler_document_round_trip():
     values = tuple(range(5))
-    doc = json.loads(serialize.euler_to_json(values, kind="hilb", surface_doc=None))
-    assert serialize.euler_from_document(doc) == values
+    text = serialize.euler_to_json(values, kind="hilb", surface_doc=None)
+    assert serialize.euler_from_document(text) == values
     with pytest.raises(ValueError, match="Euler"):
-        serialize.euler_from_document(written(sample_series(), kind="hilb", surface_doc=None))
+        serialize.euler_from_document(
+            serialize.series_to_json(sample_series(), kind="hilb", surface_doc=None)
+        )
+
+
+@pytest.mark.parametrize("value", ("25", 25.7), ids=("stale-checksum", "float-value"))
+def test_euler_reader_rejects_an_edited_value(value):
+    doc = json.loads(serialize.euler_to_json((1, 24, 324), kind="hilb", surface_doc=None))
+    doc["coefficients"][1]["value"] = value
+    with pytest.raises(ValueError, match="Euler"):
+        serialize.euler_from_document(writer_layout(doc))
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    (
+        pytest.param(
+            serialize.series_from_csv, "q,m,i,j,c\n0,,0,0,1\n0,,0,0,5\n", id="duplicate-term"
+        ),
+        pytest.param(
+            serialize.series_from_csv,
+            "q,m,i,j,c\n0,,0,0,1\n1,,,,0\n1,,1,1,2\n",
+            id="zero-marker-beside-a-term",
+        ),
+        pytest.param(serialize.euler_from_csv, "q,m,value\n0,,1\n0,,5\n", id="duplicate-q"),
+    ),
+)
+def test_csv_readers_reject_rows_the_writer_cannot_emit(reader, text):
+    with pytest.raises(ValueError, match="CSV"):
+        reader(text)
 
 
 def test_series_document_rejects_gaps():
     doc = written(sample_series(), kind="incidence", surface_doc=None)
     doc["coefficients"] = doc["coefficients"][:-1]
     with_checksum(doc)
-    with pytest.raises(ValueError, match="q\\^0"):
-        serialize.series_from_document(doc, **SAMPLE_REQUEST)
+    with pytest.raises(ValueError, match="writer"):
+        serialize.series_from_document(writer_layout(doc), **SAMPLE_REQUEST)
 
 
 @pytest.mark.parametrize("q_max", (0, 1, 21))
@@ -247,7 +286,7 @@ def test_dump_series_document_equals_json_dumps(surface_name, kind, q_max):
     doc = json.loads(text)
     assert doc["checksum"] == reference_checksum(doc)
     request = dict(kind=kind, surface_doc=surface.to_json(), genus=genus, q_max=q_max)
-    assert serialize.series_from_document(doc, **request) == series
+    assert serialize.series_from_document(text, **request) == series
 
 
 def test_dump_series_document_negative_and_zero_coefficients():
@@ -273,4 +312,4 @@ def test_euler_to_json_equals_json_dumps(surface_name, kind, q_max):
     text = serialize.euler_to_json(values, **keywords)
     reference = reference_euler_document(values, **keywords)
     assert text == json.dumps(reference, sort_keys=True, indent=2) + "\n"
-    assert serialize.euler_from_document(json.loads(text)) == values
+    assert serialize.euler_from_document(text) == values

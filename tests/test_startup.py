@@ -58,13 +58,15 @@ def test_localhom_imports_no_series_modules(tmp_path):
 
 
 def test_series_imports_no_localhom_modules(tmp_path):
-    modules = loaded_modules(
-        tmp_path, "series", "hilb", "--surface", "p2", "--qmax", "2", "--format", "json"
-    )
-    assert {"fiberdt.formulas", "fiberdt.polyseries", "fiberdt.serialize"} <= modules
-    for name in ("localhom", "linalg", "oracles"):
-        assert f"fiberdt.{name}" not in modules
-    assert "dataclasses" not in modules
+    for fmt in ("json", "csv"):
+        modules = loaded_modules(
+            tmp_path, "series", "hilb", "--surface", "p2", "--qmax", "2", "--format", fmt
+        )
+        assert {"fiberdt.formulas", "fiberdt.polyseries", "fiberdt.serialize"} <= modules
+        for name in ("localhom", "linalg", "oracles"):
+            assert f"fiberdt.{name}" not in modules
+        assert "dataclasses" not in modules
+        assert "csv" not in modules  # the CSV writers format their rows themselves
 
 
 def test_help_imports_only_the_cli(tmp_path):
