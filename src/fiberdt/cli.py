@@ -224,30 +224,38 @@ def _cmd_series(args) -> None:
 
     genus = fibration.fiber_genus if fibration else None
     surface_doc = surface.to_json()
-    path = series = None
+    emit_json = args.format == "json" and not args.euler
+    path = series = hodge_json = None
     if args.cache:
         key_doc = {"kind": kind, "surface": surface_doc, "genus": genus, "q_max": args.q_max}
         key = hashlib.sha256(serialize.canonical_json(key_doc).encode()).hexdigest()[:16]
         path = Path(args.cache) / f"{kind}-{key}.json"
         if path.exists():
             try:
+                entry = path.read_text()
                 series = serialize.series_from_document(
-                    path.read_text(),
-                    kind=kind, surface_doc=surface_doc, genus=genus, q_max=args.q_max,
+                    entry, kind=kind, surface_doc=surface_doc, genus=genus, q_max=args.q_max
                 )
             except ValueError:
                 # An entry that is not the writer's bytes for this request is
                 # recomputed.
                 pass
+            else:
+                # The reader has checked the entry's bytes, so an entry under
+                # the request's surface_name is the request's JSON output.
+                if emit_json and serialize.carries_surface_name(entry, name):
+                    hodge_json = entry
+                del entry  # not held through the render of another format
     write_entry = path is not None and series is None
     if series is None:
         series = _compute_series(kind, surface, fibration, args.q_max)
     _crosscheck_series(kind, surface, fibration, series)
 
-    # The Hodge JSON is rendered at most once, from the series: a cache entry
-    # holds the same bytes as the JSON output of the request that wrote it.
-    hodge_json = None
-    if write_entry or (args.format == "json" and not args.euler):
+    # The Hodge JSON is rendered here at most once, from the series: a cache
+    # entry holds the JSON output of the request that wrote it.  A hit under
+    # another surface_name (a registry name and a diamond file share a key)
+    # renders the request's own head and checksum.
+    if hodge_json is None and (write_entry or emit_json):
         hodge_json = serialize.series_to_json(
             series, kind=kind, surface_doc=surface_doc, surface_name=name, genus=genus
         )

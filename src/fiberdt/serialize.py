@@ -26,6 +26,7 @@ from .polyseries import BivariatePolynomial, TruncatedSeries
 __all__ = [
     "series_to_json",
     "series_from_document",
+    "carries_surface_name",
     "euler_to_json",
     "euler_from_document",
     "series_to_csv",
@@ -152,6 +153,15 @@ def series_from_document(
     if text != written:
         raise ValueError("not the Hodge series document the writer renders for this request")
     return series
+
+
+def carries_surface_name(text: str, surface_name: str | None) -> bool:
+    """Whether a document the writer rendered carries this ``surface_name``.
+
+    ``surface_name`` is the last key of the sorted layout, and no rendered
+    value holds a raw newline, so the tail of the text decides.
+    """
+    return text.endswith(f'\n  "surface_name": {json.dumps(surface_name)}\n}}\n')
 
 
 def euler_from_document(text: str) -> tuple[int, ...]:

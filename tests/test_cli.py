@@ -337,6 +337,35 @@ def test_series_cache_hit_renders_current_surface_name(tmp_path, capsys):
     assert out == run(capsys, *argv, "--surface", "p2")[1]
 
 
+def test_series_json_cache_hit_renders_its_document_once(tmp_path, capsys, monkeypatch):
+    # The reader renders an entry to check its bytes.  A hit under the
+    # request's surface_name then emits the entry as read; a k3 diamond file
+    # shares the key of --surface k3, so its hit renders its own document.
+    cache = tmp_path / "cache"
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(registry_lookup("k3").to_json()))
+    argv = ("series", "im1", "--genus", "1", "--qmax", "6", "--format", "json")
+    by_name = run(capsys, *argv, "--surface", "k3")[1]
+    by_file = run(capsys, *argv, "--surface", str(path))[1]
+    assert run(capsys, *argv, "--surface", "k3", "--cache", str(cache))[0] == 0
+    [entry] = cache.iterdir()
+    written = entry.read_bytes()
+    render = serialize.series_to_json
+    names = []
+
+    def counted(*args, **keywords):
+        names.append(keywords["surface_name"])
+        return render(*args, **keywords)
+
+    monkeypatch.setattr(serialize, "series_to_json", counted)
+    assert run(capsys, *argv, "--surface", "k3", "--cache", str(cache)) == (0, by_name, "")
+    assert names == ["k3"]
+    names.clear()
+    assert run(capsys, *argv, "--surface", str(path), "--cache", str(cache)) == (0, by_file, "")
+    assert names == ["k3", None]
+    assert entry.read_bytes() == written
+
+
 def test_series_cache_not_written_when_crosscheck_fails(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()

@@ -188,6 +188,16 @@ def test_series_reader_rejects_a_stale_checksum():
     assert edited.coefficient(1).coefficient(0, 0) == 2
 
 
+def test_carries_surface_name_reads_the_name_the_writer_rendered():
+    names = (None, "k3", "", "null", '"k3"', 'a "quoted"\n  name', "K\u00e4hler")
+    for own in names:
+        text = serialize.series_to_json(
+            sample_series(), kind="incidence", surface_doc=None, surface_name=own
+        )
+        for name in names:
+            assert serialize.carries_surface_name(text, name) == (name == own), (own, name)
+
+
 def test_checksum_detects_payload_change():
     doc = written(sample_series(), kind="incidence", surface_doc=None)
     doc["q_max"] = 7

@@ -1,9 +1,12 @@
-"""What a CLI request imports, and the lazy ``fiberdt`` namespace.
+"""What a CLI request imports, how its process ends, and the lazy
+``fiberdt`` namespace.
 
 Each request runs in a fresh interpreter, so the modules it imports are part
-of its cost: the CLI loads only the package modules its subcommand runs.
+of its cost: the CLI loads only the package modules its subcommand runs, and
+the process ends without interpreter teardown once its output is flushed.
 """
 
+import atexit
 import json
 import os
 import subprocess
@@ -13,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import fiberdt
+import fiberdt.__main__ as entry
+from fiberdt import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -75,6 +80,144 @@ def test_help_imports_only_the_cli(tmp_path):
     submodules = {m for m in modules if m.startswith("fiberdt.")}
     assert "fiberdt.cli" in submodules
     assert submodules <= {"fiberdt.__main__", "fiberdt.cli"}
+
+
+# --- the end of a request ---------------------------------------------------------
+
+
+def fiberdt_process(*argv, **streams):
+    """``python -m fiberdt ARGV`` run to completion, by default with its
+    stdout and stderr captured.  PYTHONUNBUFFERED is dropped, so that stdout
+    holds what is written to it until it is flushed."""
+    streams = streams or {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "fiberdt", *argv], env=env, timeout=60, **streams)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        # About 580 kB, more than a pipe holds: most of it is written at once.
+        ("series", "hilb", "--surface", "k3", "--qmax", "21", "--format", "json"),
+        # A few hundred bytes, which stay in the stream's buffer until a flush.
+        ("dt", "--surface", "k3", "--mmax", "3"),
+    ),
+)
+def test_a_request_flushes_its_whole_output(tmp_path, capsys, argv):
+    assert cli.main(list(argv)) == 0
+    expected = capsys.readouterr().out.encode()
+    piped = fiberdt_process(*argv)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == expected
+    out = tmp_path / "out.json"
+    written = fiberdt_process(*argv, "--out", str(out))
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    (
+        (
+            ("series", "hilb", "--surface", "k3"),
+            1,
+            "usage error: the following arguments are required: --qmax\n",
+        ),
+        (
+            ("series", "hilb", "--surface", "k3", "--qmax", "51"),
+            2,
+            "validation error: qmax 51 exceeds the cap 50\n",
+        ),
+    ),
+)
+def test_an_error_exit_keeps_its_code_and_message(capsys, argv, code, message):
+    assert cli.main(list(argv)) == code
+    assert capsys.readouterr() == ("", message)
+    result = fiberdt_process(*argv)
+    assert (result.returncode, result.stdout, result.stderr.decode()) == (code, b"", message)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    (
+        # The write itself fails inside the request: a validation error.
+        (
+            ("series", "hilb", "--surface", "k3", "--qmax", "21", "--format", "json"),
+            2,
+            "validation error: [Errno 28] No space left on device\n",
+        ),
+        # The output waits in the buffer, so the flush at exit fails and the
+        # normal exit reports it, as an interpreter without the handler does.
+        (
+            ("dt", "--surface", "k3", "--mmax", "3"),
+            120,
+            "OSError: [Errno 28] No space left on device\n",
+        ),
+    ),
+    ids=("write", "flush"),
+)
+def test_a_full_device_fails_the_request(argv, code, message):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    with open("/dev/full", "wb") as full:
+        result = fiberdt_process(*argv, stdout=full, stderr=subprocess.PIPE)
+    assert result.returncode == code
+    assert result.stderr.decode().endswith(message)
+
+
+class _Stream:
+    """A standard stream that records its flushes, and may fail them."""
+
+    def __init__(self, name, events, fails=False):
+        self.name, self.events, self.fails = name, events, fails
+
+    def flush(self):
+        self.events.append(self.name)
+        if self.fails:
+            raise OSError(28, "No space left on device")
+
+
+def _patch_exit(monkeypatch, failing=None):
+    events = []
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events, failing == "stdout"))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events, failing == "stderr"))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("_exit", code)))
+    return events
+
+
+def test_the_exit_handler_ends_the_process_after_both_flushes(monkeypatch):
+    events = _patch_exit(monkeypatch)
+    entry._exit_flushed(3)
+    assert events == ["stdout", "stderr", ("_exit", 3)]
+
+
+@pytest.mark.parametrize("failing", ("stdout", "stderr"))
+def test_the_exit_handler_leaves_a_failed_flush_to_the_normal_exit(monkeypatch, failing):
+    events = _patch_exit(monkeypatch, failing)
+    assert entry._exit_flushed(0) is None
+    assert events == ["stdout", "stderr"][: 1 if failing == "stdout" else 2]
+
+
+def test_only_the_entry_point_registers_the_exit(monkeypatch, capsys):
+    registered = []
+    monkeypatch.setattr(atexit, "register", lambda *args: registered.append(args))
+    assert cli.main(["localhom", "--dmax", "1"]) == 0
+    assert registered == []
+    monkeypatch.setattr(sys, "argv", ["fiberdt", "localhom", "--dmax", "-1"])
+    assert entry.run() == 2
+    assert registered == [(entry._exit_flushed, 2)]
+    assert "dmax must be nonnegative" in capsys.readouterr().err
+
+
+def test_the_fiberdt_script_runs_the_entry_point():
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["fiberdt"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is entry.run
 
 
 # --- the lazy namespace ------------------------------------------------------------
