@@ -32,11 +32,9 @@ _SOURCES = {
     "formulas": (
         "dt_invariant",
         "dt_table",
-        "hilbert_euler",
         "hilbert_euler_direct",
         "hilbert_euler_series",
         "hilbert_hodge_series",
-        "ideal_sheaf_euler",
         "ideal_sheaf_euler_direct",
         "ideal_sheaf_euler_sequence",
         "ideal_sheaf_hodge_series",

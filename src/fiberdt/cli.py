@@ -151,6 +151,9 @@ def main(argv=None) -> int:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text)
+    elif sys.stdout is None:
+        # Python sets sys.stdout to None when file descriptor 1 is closed.
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
 
@@ -357,7 +360,8 @@ def _cmd_oracle(args) -> None:
         count = oracles.colored_partitions_count(chi, m)
     else:
         count = oracles.nested_colored_count(chi, m)
-    print(count)
+    lines = [str(count)]
+    ok = True
     if args.check:
         from . import formulas
         from .geometry import surface_with_euler_number
@@ -367,13 +371,11 @@ def _cmd_oracle(args) -> None:
             coefficient = formulas.hilbert_euler_series(surface, m)[m]
         else:
             coefficient = formulas.nested_hodge_series(surface, m + 1).euler_sequence()[m + 1]
-        print(f"series coefficient: {coefficient}")
         ok = coefficient == count
-        print("check: pass" if ok else "check: FAIL")
-        if not ok:
-            raise RuntimeError(
-                f"enumeration gives {count} but the series coefficient is {coefficient}"
-            )
+        lines += [f"series coefficient: {coefficient}", "check: pass" if ok else "check: FAIL"]
+    _emit("\n".join(lines) + "\n", None)
+    if not ok:
+        raise RuntimeError(f"enumeration gives {count} but the series coefficient is {coefficient}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,9 @@ from .polyseries import TruncatedSeries, series_product
 __all__ = [
     "hilbert_hodge_series",
     "hilbert_euler_series",
-    "hilbert_euler",
     "nested_hodge_series",
     "ideal_sheaf_hodge_series",
     "ideal_sheaf_euler_sequence",
-    "ideal_sheaf_euler",
     "moduli_dimension",
     "dt_table",
     "dt_invariant",
@@ -88,13 +86,6 @@ def hilbert_euler_series(surface: HodgeDiamond, q_max: int) -> tuple[int, ...]:
     return series_product(_euler_factors(surface.euler_number(), q_max), q_max).euler_sequence()
 
 
-def hilbert_euler(surface: HodgeDiamond, m: int) -> int:
-    """Euler number of the Hilbert scheme of m points on the surface."""
-    if m < 0:
-        raise ValueError("point count must be nonnegative")
-    return hilbert_euler_series(surface, m)[m]
-
-
 def _extra_point_series(factors, e, q_max: int) -> TruncatedSeries:
     # q times e times the product of the factors; after the shift by q only
     # the product's terms below q^q_max survive.  e seeds the packed product
@@ -137,13 +128,6 @@ def ideal_sheaf_euler_sequence(fibration: FibrationSpec, q_max: int) -> tuple[in
     """
     factors = [(0, 0, 1, 1), *_euler_factors(fibration.base.euler_number(), q_max - 1)]
     return _extra_point_series(factors, fibration.euler_number(), q_max).euler_sequence()
-
-
-def ideal_sheaf_euler(fibration: FibrationSpec, m: int) -> int:
-    """Euler number of the moduli space labelled m (coefficient of q^(m+1))."""
-    if m < 0:
-        raise ValueError("moduli label must be nonnegative")
-    return ideal_sheaf_euler_sequence(fibration, m + 1)[m + 1]
 
 
 def moduli_dimension(m: int) -> int:

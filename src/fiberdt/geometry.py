@@ -107,13 +107,15 @@ class HodgeDiamond:
 
     @classmethod
     def from_json(cls, doc) -> "HodgeDiamond":
-        """Build from the document form {"dim": d, "h": [[...], ...]}."""
+        """Build from the document form {"dim": d, "h": [[...], ...]}, with d
+        an int."""
         if not isinstance(doc, dict) or "dim" not in doc or "h" not in doc:
             raise InvalidDiamond("shape", 'document must contain "dim" and "h"')
         diamond = cls(doc["h"])
-        if diamond.dim != doc["dim"]:
+        # type() rather than ==, which would take 2.0 and True as 2 and 1.
+        if type(doc["dim"]) is not int or diamond.dim != doc["dim"]:
             raise InvalidDiamond(
-                "shape", f'"dim" field {doc["dim"]} does not match grid size {diamond.dim}'
+                "shape", f'"dim" field {doc["dim"]!r} does not match grid size {diamond.dim}'
             )
         return diamond
 
@@ -239,7 +241,3 @@ class FibrationSpec(
 
     def euler_number(self) -> int:
         return self.e_polynomial().eval_one()
-
-    def virtual_dimension(self) -> int:
-        """Expected dimension of the ideal-sheaf moduli space, minus beta.K."""
-        return -self.beta_dot_kx

@@ -68,7 +68,8 @@ class BivariatePolynomial:
 
     The constructor accepts any mapping from exponent pairs ``(i, j)`` to
     integers; zero coefficients are dropped and negative exponents rejected.
-    Arithmetic always returns new objects.
+    The one arithmetic operation is multiplication, which returns a new
+    object.
     """
 
     __slots__ = ("_terms",)
@@ -95,26 +96,13 @@ class BivariatePolynomial:
         return cls._raw({})
 
     @classmethod
-    def one(cls) -> "BivariatePolynomial":
-        return cls._raw({(0, 0): 1})
-
-    @classmethod
     def constant(cls, c: int) -> "BivariatePolynomial":
         return cls._raw({(0, 0): c} if c else {})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: int = 1) -> "BivariatePolynomial":
-        if i < 0 or j < 0:
-            raise ValueError(f"negative exponent pair ({i}, {j})")
-        return cls._raw({(i, j): c} if c else {})
 
     @property
     def terms(self) -> Mapping[tuple[int, int], int]:
         """Read-only view of the canonical exponent-to-coefficient map."""
         return MappingProxyType(self._terms)
-
-    def coefficient(self, i: int, j: int) -> int:
-        return self._terms.get((i, j), 0)
 
     def eval_one(self) -> int:
         """Value at s = t = 1, i.e. the sum of all coefficients.
@@ -137,35 +125,6 @@ class BivariatePolynomial:
         if isinstance(other, int):
             return self._terms == ({(0, 0): other} if other else {})
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "BivariatePolynomial | int") -> "BivariatePolynomial":
-        other = _as_poly(other)
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-        return BivariatePolynomial._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial._raw({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "BivariatePolynomial | int") -> "BivariatePolynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other: int) -> "BivariatePolynomial":
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other: "BivariatePolynomial | int") -> "BivariatePolynomial":
         other = _as_poly(other)
@@ -244,8 +203,8 @@ class TruncatedSeries:
     """A power series in q truncated at order ``q_max``.
 
     The coefficient of q^m is a :class:`BivariatePolynomial`, stored at index
-    m of an internal tuple of length ``q_max + 1``.  Arithmetic never reads or
-    writes beyond the truncation order, and operands must share it.
+    m of an internal tuple of length ``q_max + 1``.  Series have no
+    arithmetic of their own: :func:`series_product` builds every product.
     """
 
     __slots__ = ("_q_max", "_coeffs")
@@ -273,10 +232,6 @@ class TruncatedSeries:
     def zero(cls, q_max: int) -> "TruncatedSeries":
         return cls(q_max)
 
-    @classmethod
-    def one(cls, q_max: int) -> "TruncatedSeries":
-        return cls(q_max, [BivariatePolynomial.one()])
-
     @property
     def q_max(self) -> int:
         return self._q_max
@@ -285,56 +240,14 @@ class TruncatedSeries:
     def coefficients(self) -> tuple[BivariatePolynomial, ...]:
         return self._coeffs
 
-    def coefficient(self, m: int) -> BivariatePolynomial:
-        """The coefficient of q^m; m must lie in 0..q_max."""
-        if not 0 <= m <= self._q_max:
-            raise ValueError(f"index {m} outside truncation window 0..{self._q_max}")
-        return self._coeffs[m]
-
     def euler_sequence(self) -> tuple[int, ...]:
         """Integer sequence obtained by evaluating every coefficient at s = t = 1."""
         return tuple(c.eval_one() for c in self._coeffs)
-
-    def scaled(self, factor: BivariatePolynomial | int) -> "TruncatedSeries":
-        """Multiply every coefficient by a fixed polynomial."""
-        factor = _as_poly(factor)
-        return TruncatedSeries._raw(self._q_max, tuple(c * factor for c in self._coeffs))
-
-    def swap_variables(self) -> "TruncatedSeries":
-        return TruncatedSeries._raw(self._q_max, tuple(c.swap_variables() for c in self._coeffs))
-
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self._q_max != other._q_max:
-            raise ValueError(
-                f"mismatched truncation orders {self._q_max} and {other._q_max}"
-            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self._q_max == other._q_max and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._q_max, self._coeffs))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return TruncatedSeries._raw(
-            self._q_max, tuple(a + b for a, b in zip(self._coeffs, other._coeffs))
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        q_max = self._q_max
-        out: list[BivariatePolynomial] = [_ZERO] * (q_max + 1)
-        for u, cu in enumerate(self._coeffs):
-            if not cu:
-                continue
-            for v in range(q_max + 1 - u):
-                cv = other._coeffs[v]
-                if cv:
-                    out[u + v] = out[u + v] + cu * cv
-        return TruncatedSeries._raw(q_max, tuple(out))
 
     def __str__(self) -> str:
         body = " ; ".join(f"q^{m}: {c}" for m, c in enumerate(self._coeffs))

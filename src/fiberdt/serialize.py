@@ -10,10 +10,11 @@ The writers define every format.  :func:`series_to_json` and
 form of ``json.dumps(..., sort_keys=True, indent=2)`` that is emitted.  The
 checksum is the sha256 of the compact form of :func:`canonical_json`, which
 is those entries with spaces and newlines deleted: no value inside an entry
-contains either.  Each reader parses its text, rebuilds the values with the
-validating constructors, renders them again with the writer and accepts
-only identical bytes, so a document reads back exactly when the writer
-could have written it.
+contains either.  The one reader, :func:`series_from_document`, reads a
+``--cache`` entry: it parses the text, rebuilds the series with the
+validating constructors, renders it again with the writer and accepts only
+identical bytes, so an entry reads back exactly when the writer could have
+written it for the request.  No other format is read back.
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ __all__ = [
     "series_from_document",
     "carries_surface_name",
     "euler_to_json",
-    "euler_from_document",
     "series_to_csv",
-    "series_from_csv",
     "euler_to_csv",
-    "euler_from_csv",
     "series_to_text",
     "canonical_json",
 ]
@@ -42,7 +40,7 @@ SERIES_SCHEMA = "fiberdt.series.v1"
 #: Series kinds whose q^(n+1) coefficient carries the moduli label n.
 LABELED_KINDS = frozenset({"incidence", "im1"})
 
-# What a reader turns into ValueError: a value of the wrong type or shape, a
+# What the reader turns into ValueError: a value of the wrong type or shape, a
 # number out of range, or JSON nested deeper than json.loads recurses.
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError)
 
@@ -164,23 +162,6 @@ def carries_surface_name(text: str, surface_name: str | None) -> bool:
     return text.endswith(f'\n  "surface_name": {json.dumps(surface_name)}\n}}\n')
 
 
-def euler_from_document(text: str) -> tuple[int, ...]:
-    """The values of an Euler series document: exactly what
-    :func:`euler_to_json` writes under the document's own metadata."""
-    try:
-        doc = json.loads(text)
-        values = tuple([int(entry["value"]) for entry in doc["coefficients"]])
-        written = euler_to_json(
-            values, kind=doc["kind"], surface_doc=doc["surface"],
-            surface_name=doc["surface_name"], genus=doc["genus"],
-        )
-    except _MALFORMED as exc:
-        raise ValueError(f"not an Euler series document: {exc!r}") from None
-    if text != written:
-        raise ValueError("not the Euler series document the writer renders")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # CSV.  Hodge rows are q,m,i,j,c with one marker row (empty i and j) for a
 # zero coefficient so every q in 0..q_max appears; Euler rows are q,m,value.
@@ -200,47 +181,6 @@ def series_to_csv(series: TruncatedSeries, *, kind: str) -> str:
 def euler_to_csv(values: tuple[int, ...], *, kind: str) -> str:
     rows = [f"{q},{_label(kind, q, '')},{v}\n" for q, v in enumerate(values)]
     return "q,m,value\n" + "".join(rows)
-
-
-def _csv_rows(text: str) -> tuple[list[list[str]], str]:
-    """The fields of each row below the header, and a kind with the labels of
-    its m column: the kinds differ only in their labels, which a labeled kind
-    writes from q^1 on, so the last row shows them."""
-    rows = [line.split(",") for line in text.split("\n")[1:-1]]
-    return rows, "im1" if rows[-1][1] else "hilb"
-
-
-def series_from_csv(text: str) -> TruncatedSeries:
-    """The series of exactly what :func:`series_to_csv` writes."""
-    try:
-        rows, kind = _csv_rows(text)
-        polys: dict[int, dict[tuple[int, int], int]] = {}
-        for q, _, i, j, c in rows:
-            terms = polys.setdefault(int(q), {})
-            if i:  # else the marker row of a zero coefficient
-                terms[int(i), int(j)] = int(c)
-        coefficients = [BivariatePolynomial(polys[q]) for q in range(len(polys))]
-        series = TruncatedSeries(len(coefficients) - 1, coefficients)
-        written = series_to_csv(series, kind=kind)
-    except _MALFORMED as exc:
-        raise ValueError(f"not a Hodge series CSV document: {exc!r}") from None
-    if text != written:
-        raise ValueError("not the Hodge series CSV document the writer renders")
-    return series
-
-
-def euler_from_csv(text: str) -> tuple[int, ...]:
-    """The values of exactly what :func:`euler_to_csv` writes."""
-    try:
-        rows, kind = _csv_rows(text)
-        by_q = {int(q): int(v) for q, _, v in rows}
-        values = tuple([by_q[q] for q in range(len(by_q))])
-        written = euler_to_csv(values, kind=kind)
-    except _MALFORMED as exc:
-        raise ValueError(f"not an Euler series CSV document: {exc!r}") from None
-    if text != written:
-        raise ValueError("not the Euler series CSV document the writer renders")
-    return values
 
 
 def series_to_text(coefficients, *, kind: str, surface_name: str | None, euler: bool) -> str:

@@ -103,8 +103,8 @@ def test_series_json_round_trip(capsys):
 def test_series_csv_round_trip(capsys):
     code, out, _ = run(capsys, "series", "hilb", "--surface", "k3", "--qmax", "3", "--format", "csv")
     assert code == 0
-    parsed = serialize.series_from_csv(out)
-    assert parsed == formulas.hilbert_hodge_series(registry_lookup("k3"), 3)
+    series = formulas.hilbert_hodge_series(registry_lookup("k3"), 3)
+    assert out == serialize.series_to_csv(series, kind="hilb")
 
 
 def test_series_euler_csv_round_trip(capsys):
@@ -114,7 +114,7 @@ def test_series_euler_csv_round_trip(capsys):
     )
     assert code == 0
     fib = FibrationSpec.from_surface_name("p2", 0)
-    assert serialize.euler_from_csv(out) == formulas.ideal_sheaf_euler_sequence(fib, 4)
+    assert out == serialize.euler_to_csv(formulas.ideal_sheaf_euler_sequence(fib, 4), kind="im1")
 
 
 def test_series_euler_json_round_trip(capsys):
@@ -123,7 +123,14 @@ def test_series_euler_json_round_trip(capsys):
         "--euler", "--format", "json",
     )
     assert code == 0
-    assert serialize.euler_from_document(out) == (1, 0, 0, 0, 0, 0)
+    abelian = registry_lookup("abelian")
+    values = formulas.hilbert_euler_series(abelian, 5)
+    assert values == (1, 0, 0, 0, 0, 0)
+    assert out == serialize.euler_to_json(
+        values, kind="hilb", surface_doc=abelian.to_json(), surface_name="abelian"
+    )
+    doc = json.loads(out)
+    assert doc["checksum"] == reference_checksum(doc)
 
 
 def test_series_surface_file(tmp_path, capsys):
@@ -175,7 +182,8 @@ def test_series_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert out == ""
-    assert serialize.series_from_csv(target.read_text()).q_max == 2
+    series = formulas.hilbert_hodge_series(registry_lookup("p2"), 2)
+    assert target.read_text() == serialize.series_to_csv(series, kind="hilb")
 
 
 GOLDEN_Q50 = json.loads((Path(__file__).parent / "data" / "golden_q50.json").read_text())

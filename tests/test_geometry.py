@@ -47,7 +47,7 @@ def test_e_polynomial_examples():
     assert registry_lookup("k3").e_polynomial() == BivariatePolynomial(
         {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1}
     )
-    assert registry_lookup("point").e_polynomial() == BivariatePolynomial.one()
+    assert registry_lookup("point").e_polynomial() == BivariatePolynomial({(0, 0): 1})
 
 
 def test_euler_numbers():
@@ -110,12 +110,6 @@ def test_fibration_canonical_flag():
     assert K_TRIVIAL_SURFACE_NAMES == {"k3", "abelian"}
 
 
-def test_virtual_dimension_sign():
-    assert FibrationSpec.from_surface_name("k3", 1).virtual_dimension() == 0
-    assert FibrationSpec.from_surface_name("p2", 1, beta_dot_kx=5).virtual_dimension() == -5
-    assert FibrationSpec.from_surface_name("p2", 1, beta_dot_kx=-2).virtual_dimension() == 2
-
-
 # --- synthetic surfaces -----------------------------------------------------
 
 
@@ -137,6 +131,14 @@ def test_json_round_trip():
 def test_json_dim_mismatch():
     with pytest.raises(InvalidDiamond, match="shape"):
         HodgeDiamond.from_json({"dim": 3, "h": [[1]]})
+
+
+@pytest.mark.parametrize("dim", (2.0, True, "2"), ids=("float", "bool", "string"))
+def test_json_dim_must_be_an_int(dim):
+    # 2.0 == 2, and True == 1 is the dimension of a curve.
+    h = curve_diamond(1).grid if dim is True else registry_lookup("k3").grid
+    with pytest.raises(InvalidDiamond, match="shape"):
+        HodgeDiamond.from_json({"dim": dim, "h": h})
 
 
 def test_conjugation_symmetry_violation_named():

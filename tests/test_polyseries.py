@@ -2,19 +2,20 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from fiberdt.polyseries import (
     BivariatePolynomial,
     TruncatedSeries,
     series_product,
 )
+from series_reference import mul, one, poly_mul, scaled
 
-ONE = BivariatePolynomial.one()
+ONE = BivariatePolynomial({(0, 0): 1})
 ZERO = BivariatePolynomial.zero()
-S = BivariatePolynomial.monomial(1, 0)
-T = BivariatePolynomial.monomial(0, 1)
-ST = BivariatePolynomial.monomial(1, 1)
+S = BivariatePolynomial({(1, 0): 1})
+T = BivariatePolynomial({(0, 1): 1})
+ST = BivariatePolynomial({(1, 1): 1})
 
 
 def poly(d):
@@ -27,34 +28,13 @@ exponents = st.tuples(st.integers(0, 6), st.integers(0, 6))
 polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=5).map(BivariatePolynomial)
 
 
-@st.composite
-def series_triples(draw):
-    q_max = draw(st.integers(0, 5))
-    def one_series():
-        coeffs = draw(st.lists(polys, min_size=0, max_size=q_max + 1))
-        return TruncatedSeries(q_max, coeffs)
-    return one_series(), one_series(), one_series()
-
-
 # --- polynomial arithmetic --------------------------------------------------
 
 
-def test_add_cancellation():
-    assert (ONE + ST) + (-ST) == ONE
-
-
-def test_add_identity():
-    p = poly({(2, 1): 5, (0, 0): -3})
-    assert p + ZERO == p
-    assert ZERO + p == p
-
-
-def test_add_variables():
-    assert S + T == poly({(1, 0): 1, (0, 1): 1})
-
-
 def test_mul_hand_expansion():
-    assert (ONE + ST) * (ONE - S) == poly({(0, 0): 1, (1, 0): -1, (1, 1): 1, (2, 1): -1})
+    one_plus_st = poly({(0, 0): 1, (1, 1): 1})
+    one_minus_s = poly({(0, 0): 1, (1, 0): -1})
+    assert one_plus_st * one_minus_s == poly({(0, 0): 1, (1, 0): -1, (1, 1): 1, (2, 1): -1})
 
 
 def test_mul_identity():
@@ -63,13 +43,17 @@ def test_mul_identity():
 
 
 def test_genus_one_factorization():
-    assert (ONE - S) * (ONE - T) == poly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+    one_minus_s = poly({(0, 0): 1, (1, 0): -1})
+    one_minus_t = poly({(0, 0): 1, (0, 1): -1})
+    assert one_minus_s * one_minus_t == poly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
 
 
 def test_no_stored_zeros():
     p = poly({(1, 1): 3, (2, 2): 0})
     assert (2, 2) not in p.terms
-    assert (p - p).terms == {}
+    # (1 + s)(1 - s) = 1 - s^2: the two s terms cancel and are not stored.
+    product = poly({(0, 0): 1, (1, 0): 1}) * poly({(0, 0): 1, (1, 0): -1})
+    assert dict(product.terms) == {(0, 0): 1, (2, 0): -1}
 
 
 def test_negative_exponent_rejected():
@@ -89,17 +73,13 @@ def test_eval_one_zero_and_torus():
 
 @given(polys, polys)
 def test_eval_one_is_ring_homomorphism(a, b):
-    assert (a + b).eval_one() == a.eval_one() + b.eval_one()
     assert (a * b).eval_one() == a.eval_one() * b.eval_one()
 
 
 @given(polys, polys, polys)
 def test_poly_ring_axioms(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a == poly_mul(a, b)
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
 
 
 @given(polys, polys)
@@ -113,46 +93,7 @@ def test_swap_variables_is_multiplicative(a, b):
 
 def test_series_coefficient_layout():
     s = TruncatedSeries(3, [ONE, ST])
-    assert len(s.coefficients) == 4
-    assert s.coefficient(0) == ONE
-    assert s.coefficient(1) == ST
-    assert s.coefficient(3) == ZERO
-
-
-def test_series_coefficient_out_of_range():
-    s = TruncatedSeries(1, [ONE, ST])
-    with pytest.raises(ValueError):
-        s.coefficient(2)
-    with pytest.raises(ValueError):
-        s.coefficient(-1)
-
-
-def test_series_mul_identity():
-    s = TruncatedSeries(4, [ONE, ST, S, T, ONE])
-    assert s * TruncatedSeries.one(4) == s
-
-
-def test_series_mul_telescoping():
-    q_max = 6
-    one_minus_q = TruncatedSeries(q_max, [ONE, -ONE])
-    geometric = TruncatedSeries(q_max, [ONE] * (q_max + 1))
-    assert one_minus_q * geometric == TruncatedSeries.one(q_max)
-
-
-def test_series_mismatched_truncation_rejected():
-    with pytest.raises(ValueError):
-        TruncatedSeries.one(2) * TruncatedSeries.one(3)
-    with pytest.raises(ValueError):
-        TruncatedSeries.one(2) + TruncatedSeries.one(3)
-
-
-@settings(max_examples=60)
-@given(series_triples())
-def test_series_ring_axioms(triple):
-    a, b, c = triple
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert s.coefficients == (ONE, ST, ZERO, ZERO)
 
 
 # --- factor expansion -------------------------------------------------------
@@ -165,22 +106,22 @@ def hand_factor(a, b, k, e, q_max):
     n = 1
     while n * k <= q_max:
         c = comb(e - 1 + n, n) if e >= 0 else (-1) ** n * comb(-e, n)
-        coeffs[n * k] = BivariatePolynomial.monomial(a * n, b * n, c)
+        coeffs[n * k] = poly({(a * n, b * n): c})
         n += 1
     return TruncatedSeries(q_max, coeffs)
 
 
 def test_series_factor_geometric():
     f = series_product([(1, 1, 1, 1)], 2)
-    assert f == TruncatedSeries(2, [ONE, ST, BivariatePolynomial.monomial(2, 2)])
+    assert f == TruncatedSeries(2, [ONE, ST, poly({(2, 2): 1})])
 
 
 def test_series_factor_trivial_exponent():
-    assert series_product([(2, 3, 1, 0)], 5) == TruncatedSeries.one(5)
+    assert series_product([(2, 3, 1, 0)], 5) == one(5)
 
 
 def test_series_factor_above_truncation():
-    assert series_product([(1, 1, 7, 5)], 6) == TruncatedSeries.one(6)
+    assert series_product([(1, 1, 7, 5)], 6) == one(6)
 
 
 def test_series_factor_invalid_q_exponent():
@@ -191,19 +132,19 @@ def test_series_factor_invalid_q_exponent():
 @pytest.mark.parametrize("a,b,k,e", [(1, 1, 1, 1), (0, 2, 2, 3), (2, 0, 1, -4), (1, 2, 3, -2)])
 def test_series_factor_inverse_pair(a, b, k, e):
     q_max = 8
-    product = series_product([(a, b, k, e)], q_max) * series_product([(a, b, k, -e)], q_max)
-    assert product == TruncatedSeries.one(q_max)
+    product = mul(series_product([(a, b, k, e)], q_max), series_product([(a, b, k, -e)], q_max))
+    assert product == one(q_max)
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 4), st.integers(-5, 5))
 def test_series_factor_inverse_pair_random(a, b, k, e):
     q_max = 6
-    product = series_product([(a, b, k, e)], q_max) * series_product([(a, b, k, -e)], q_max)
-    assert product == TruncatedSeries.one(q_max)
+    product = mul(series_product([(a, b, k, e)], q_max), series_product([(a, b, k, -e)], q_max))
+    assert product == one(q_max)
 
 
 def test_series_product_empty():
-    assert series_product([], 5) == TruncatedSeries.one(5)
+    assert series_product([], 5) == one(5)
 
 
 def test_series_product_start_is_keyword_only():
@@ -216,8 +157,7 @@ def test_series_product_single_factor():
     # (1 - s t q^2) ** -3 = 1 + 3 s t q^2 + 6 s^2 t^2 q^4 + 10 s^3 t^3 q^6
     expected = TruncatedSeries(
         6,
-        [ONE, ZERO, 3 * ST, ZERO, BivariatePolynomial.monomial(2, 2, 6), ZERO,
-         BivariatePolynomial.monomial(3, 3, 10)],
+        [ONE, ZERO, 3 * ST, ZERO, poly({(2, 2): 6}), ZERO, poly({(3, 3): 10})],
     )
     assert series_product([(1, 1, 2, 3)], 6) == expected
     assert series_product([(1, 1, 2, 3)], 6) == hand_factor(1, 1, 2, 3, 6)
@@ -232,10 +172,10 @@ def random_poly(rng):
 
 def coefficient_majorant(factors, q_max):
     """Largest coefficient up to q^q_max of the product of (1 - q^k) ** (-|e|)."""
-    product = TruncatedSeries.one(q_max)
+    product = one(q_max)
     for _, _, k, e in factors:
-        product = product * hand_factor(0, 0, k, abs(e), q_max)
-    return max(c.coefficient(0, 0) for c in product.coefficients)
+        product = mul(product, hand_factor(0, 0, k, abs(e), q_max))
+    return max(c.terms.get((0, 0), 0) for c in product.coefficients)
 
 
 def test_series_product_matches_generic_multiplication():
@@ -311,14 +251,14 @@ def test_series_product_matches_generic_multiplication():
         poly({(0, 4): 3, (1, 1): -(2**65)}),
     ]
     for n, (factors, q_max) in enumerate(cases):
-        expected = TruncatedSeries.one(q_max)
+        expected = one(q_max)
         for factor in factors:
-            expected = expected * hand_factor(*factor, q_max)
+            expected = mul(expected, hand_factor(*factor, q_max))
         got = series_product(iter(factors), q_max)
         assert got == expected, (factors, q_max)
         start = starts[n % len(starts)] if n % 3 else random_poly(rng)
         seeded = series_product(iter(factors), q_max, start=start)
-        assert seeded == expected.scaled(start), (factors, q_max, start)
+        assert seeded == scaled(expected, start), (factors, q_max, start)
         for coefficient in (*got.coefficients, *seeded.coefficients):
             assert 0 not in coefficient.terms.values()
 
@@ -347,4 +287,5 @@ def test_series_product_skips_high_k():
 def test_series_product_swap_covariance(factors):
     q_max = 5
     swapped_factors = [(b, a, k, e) for (a, b, k, e) in factors]
-    assert series_product(factors, q_max).swap_variables() == series_product(swapped_factors, q_max)
+    swapped = series_product(swapped_factors, q_max).coefficients
+    assert tuple(c.swap_variables() for c in series_product(factors, q_max).coefficients) == swapped

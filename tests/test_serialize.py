@@ -115,7 +115,7 @@ def test_document_labels():
     series = sample_series()
     doc = written(series, kind="incidence", surface_doc=registry_lookup("k3").to_json())
     assert [entry["m"] for entry in doc["coefficients"]] == [None, 0, 1, 2]
-    hilb_doc = written(TruncatedSeries.one(2), kind="hilb", surface_doc=None)
+    hilb_doc = written(TruncatedSeries(2, [1]), kind="hilb", surface_doc=None)
     assert [entry["m"] for entry in hilb_doc["coefficients"]] == [None, None, None]
 
 
@@ -185,7 +185,7 @@ def test_series_reader_rejects_a_stale_checksum():
     # The same edit under its own checksum is a document the writer renders,
     # so only the stale checksum rejected it.
     edited = serialize.series_from_document(writer_layout(with_checksum(doc)), **SAMPLE_REQUEST)
-    assert edited.coefficient(1).coefficient(0, 0) == 2
+    assert edited.coefficients[1].terms[0, 0] == 2
 
 
 def test_carries_surface_name_reads_the_name_the_writer_rendered():
@@ -210,58 +210,42 @@ def test_document_json_stable():
     assert serialize.canonical_json(doc1) == serialize.canonical_json(doc2)
 
 
+def csv_rows(text, header):
+    """The fields of each row of a CSV document of a labeled kind under this
+    header, checking the moduli label of each q: ``m`` is empty at q = 0 and
+    q - 1 from q = 1 on."""
+    lines = text.split("\n")
+    assert lines[0] == header and lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    for q, m, *_ in rows:
+        assert m == ("" if q == "0" else str(int(q) - 1))
+    return rows
+
+
 def test_csv_round_trip_with_zero_coefficients():
     series = sample_series()  # q^0 coefficient is the zero polynomial
     text = serialize.series_to_csv(series, kind="incidence")
-    assert serialize.series_from_csv(text) == series
-
-
-def test_csv_rejects_foreign_header():
-    with pytest.raises(ValueError, match="CSV"):
-        serialize.series_from_csv("a,b,c\n1,2,3\n")
+    rows = csv_rows(text, "q,m,i,j,c")
+    assert rows[0] == ["0", "", "", "", "0"]  # the marker row of a zero coefficient
+    terms = [{} for _ in series.coefficients]
+    for q, _, i, j, c in rows[1:]:
+        terms[int(q)][int(i), int(j)] = int(c)
+    assert TruncatedSeries(series.q_max, [BivariatePolynomial(t) for t in terms]) == series
 
 
 def test_euler_csv_round_trip():
     values = (0, 24, 600, -3, 10**25)
     text = serialize.euler_to_csv(values, kind="im1")
-    assert serialize.euler_from_csv(text) == values
+    rows = csv_rows(text, "q,m,value")
+    assert [int(q) for q, _, _ in rows] == list(range(len(values)))
+    assert tuple(int(v) for _, _, v in rows) == values
 
 
 def test_euler_document_round_trip():
     values = tuple(range(5))
-    text = serialize.euler_to_json(values, kind="hilb", surface_doc=None)
-    assert serialize.euler_from_document(text) == values
-    with pytest.raises(ValueError, match="Euler"):
-        serialize.euler_from_document(
-            serialize.series_to_json(sample_series(), kind="hilb", surface_doc=None)
-        )
-
-
-@pytest.mark.parametrize("value", ("25", 25.7), ids=("stale-checksum", "float-value"))
-def test_euler_reader_rejects_an_edited_value(value):
-    doc = json.loads(serialize.euler_to_json((1, 24, 324), kind="hilb", surface_doc=None))
-    doc["coefficients"][1]["value"] = value
-    with pytest.raises(ValueError, match="Euler"):
-        serialize.euler_from_document(writer_layout(doc))
-
-
-@pytest.mark.parametrize(
-    "reader, text",
-    (
-        pytest.param(
-            serialize.series_from_csv, "q,m,i,j,c\n0,,0,0,1\n0,,0,0,5\n", id="duplicate-term"
-        ),
-        pytest.param(
-            serialize.series_from_csv,
-            "q,m,i,j,c\n0,,0,0,1\n1,,,,0\n1,,1,1,2\n",
-            id="zero-marker-beside-a-term",
-        ),
-        pytest.param(serialize.euler_from_csv, "q,m,value\n0,,1\n0,,5\n", id="duplicate-q"),
-    ),
-)
-def test_csv_readers_reject_rows_the_writer_cannot_emit(reader, text):
-    with pytest.raises(ValueError, match="CSV"):
-        reader(text)
+    doc = json.loads(serialize.euler_to_json(values, kind="hilb", surface_doc=None))
+    assert doc["checksum"] == reference_checksum(doc)
+    assert tuple(int(entry["value"]) for entry in doc["coefficients"]) == values
 
 
 def test_series_document_rejects_gaps():
@@ -322,4 +306,3 @@ def test_euler_to_json_equals_json_dumps(surface_name, kind, q_max):
     text = serialize.euler_to_json(values, **keywords)
     reference = reference_euler_document(values, **keywords)
     assert text == json.dumps(reference, sort_keys=True, indent=2) + "\n"
-    assert serialize.euler_from_document(text) == values

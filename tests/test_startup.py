@@ -166,6 +166,32 @@ def test_a_full_device_fails_the_request(argv, code, message):
     assert result.stderr.decode().endswith(message)
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+@pytest.mark.parametrize(
+    "argv",
+    (("localhom", "--dmax", "1"), ("oracle", "colored", "--chi", "2", "--m", "3", "--check")),
+)
+def test_a_closed_stdout_is_a_validation_error(tmp_path, capsys, argv):
+    # With file descriptor 1 closed, Python starts with sys.stdout None, and
+    # print would drop the output without an error.
+    def close_stdout():
+        os.close(1)
+
+    result = fiberdt_process(*argv, stderr=subprocess.PIPE, preexec_fn=close_stdout)
+    assert result.returncode == 2
+    assert result.stderr == b"validation error: standard output is closed\n"
+    if argv[0] == "localhom":
+        # --out does not need stdout.
+        assert cli.main(list(argv)) == 0
+        expected = capsys.readouterr().out.encode()
+        out = tmp_path / "out.txt"
+        written = fiberdt_process(
+            *argv, "--out", str(out), stderr=subprocess.PIPE, preexec_fn=close_stdout
+        )
+        assert (written.returncode, written.stderr) == (0, b"")
+        assert out.read_bytes() == expected
+
+
 class _Stream:
     """A standard stream that records its flushes, and may fail them."""
 
