@@ -199,7 +199,7 @@ def _cmd_series(args) -> None:
     import hashlib
 
     from . import serialize
-    from .geometry import K_TRIVIAL_SURFACE_NAMES, FibrationSpec
+    from .geometry import FibrationSpec
 
     kind = args.kind
     if args.q_max < 0:
@@ -212,12 +212,7 @@ def _cmd_series(args) -> None:
     if kind == "im1":
         if args.genus is None:
             raise UsageError("im1 series require --genus")
-        fibration = FibrationSpec(
-            surface,
-            args.genus,
-            0,
-            name in K_TRIVIAL_SURFACE_NAMES if name else False,
-        )
+        fibration = FibrationSpec(surface, args.genus)
     else:
         if args.genus is not None:
             raise UsageError("--genus applies only to im1 series")
@@ -225,44 +220,32 @@ def _cmd_series(args) -> None:
     if max(max(row) for row in surface.grid) > HODGE_CAP or (args.genus or 0) > HODGE_CAP:
         raise ValueError(f"Hodge numbers and --genus must not exceed the cap {HODGE_CAP}")
 
-    genus = fibration.fiber_genus if fibration else None
-    surface_doc = surface.to_json()
-    emit_json = args.format == "json" and not args.euler
+    # The head of the request's series documents, and with q_max its cache key.
+    request = {
+        "kind": kind, "surface_doc": surface.to_json(), "surface_name": name, "genus": args.genus
+    }
     path = series = hodge_json = None
     if args.cache:
-        key_doc = {"kind": kind, "surface": surface_doc, "genus": genus, "q_max": args.q_max}
-        key = hashlib.sha256(serialize.canonical_json(key_doc).encode()).hexdigest()[:16]
-        path = Path(args.cache) / f"{kind}-{key}.json"
-        if path.exists():
-            try:
-                entry = path.read_text()
-                series = serialize.series_from_document(
-                    entry, kind=kind, surface_doc=surface_doc, genus=genus, q_max=args.q_max
-                )
-            except ValueError:
-                # An entry that is not the writer's bytes for this request is
-                # recomputed.
-                pass
-            else:
-                # The reader has checked the entry's bytes, so an entry under
-                # the request's surface_name is the request's JSON output.
-                if emit_json and serialize.carries_surface_name(entry, name):
-                    hodge_json = entry
-                del entry  # not held through the render of another format
+        key = hashlib.sha256(serialize.canonical_json({**request, "q_max": args.q_max}).encode())
+        path = Path(args.cache) / f"{kind}-{key.hexdigest()[:16]}.json"
+        try:
+            hodge_json = path.read_text()
+            series = serialize.series_from_document(hodge_json, **request, q_max=args.q_max)
+        except (FileNotFoundError, ValueError):
+            # A missing entry, or one that is not the writer's bytes for this
+            # request, is recomputed.
+            hodge_json = None
+        if args.euler or args.format != "json":
+            hodge_json = None  # not held through the render of another format
     write_entry = path is not None and series is None
     if series is None:
         series = _compute_series(kind, surface, fibration, args.q_max)
     _crosscheck_series(kind, surface, fibration, series)
 
-    # The Hodge JSON is rendered here at most once, from the series: a cache
-    # entry holds the JSON output of the request that wrote it.  A hit under
-    # another surface_name (a registry name and a diamond file share a key)
-    # renders the request's own head and checksum.
-    if hodge_json is None and (write_entry or emit_json):
-        hodge_json = serialize.series_to_json(
-            series, kind=kind, surface_doc=surface_doc, surface_name=name, genus=genus
-        )
+    # The Hodge JSON is rendered at most once: a hit that emits it emits the
+    # entry, which the reader has checked to be the request's JSON output.
     if write_entry:
+        hodge_json = serialize.series_to_json(series, **request)
         path.parent.mkdir(parents=True, exist_ok=True)
         # Write beside the entry and rename over it, so that a concurrent run
         # sharing the cache sees either no entry or a whole one.
@@ -277,15 +260,13 @@ def _cmd_series(args) -> None:
     if args.euler:
         values = series.euler_sequence()
         if args.format == "json":
-            text = serialize.euler_to_json(
-                values, kind=kind, surface_doc=surface_doc, surface_name=name, genus=genus
-            )
+            text = serialize.euler_to_json(values, **request)
         elif args.format == "csv":
             text = serialize.euler_to_csv(values, kind=kind)
         else:
             text = serialize.series_to_text(values, kind=kind, surface_name=name, euler=True)
     elif args.format == "json":
-        text = hodge_json
+        text = hodge_json or serialize.series_to_json(series, **request)
     elif args.format == "csv":
         text = serialize.series_to_csv(series, kind=kind)
     else:

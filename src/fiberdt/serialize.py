@@ -11,10 +11,12 @@ form of ``json.dumps(..., sort_keys=True, indent=2)`` that is emitted.  The
 checksum is the sha256 of the compact form of :func:`canonical_json`, which
 is those entries with spaces and newlines deleted: no value inside an entry
 contains either.  The one reader, :func:`series_from_document`, reads a
-``--cache`` entry: it parses the text, rebuilds the series with the
-validating constructors, renders it again with the writer and accepts only
-identical bytes, so an entry reads back exactly when the writer could have
-written it for the request.  No other format is read back.
+``--cache`` entry: it takes only the coefficients from the text, rebuilds
+the series with the validating constructors, renders it again with the
+writer under the request's own head (kind, surface, surface_name, genus and
+q_max) and accepts only identical bytes.  So an entry reads back exactly
+when it is, byte for byte, the JSON output of the request.  No other format
+is read back.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .polyseries import BivariatePolynomial, TruncatedSeries
 __all__ = [
     "series_to_json",
     "series_from_document",
-    "carries_surface_name",
     "euler_to_json",
     "series_to_csv",
     "euler_to_csv",
@@ -125,41 +126,29 @@ def euler_to_json(
 
 
 def series_from_document(
-    text: str, *, kind: str, surface_doc, genus: int | None, q_max: int
+    text: str, *, kind: str, surface_doc, surface_name: str | None, genus: int | None, q_max: int
 ) -> TruncatedSeries:
-    """The series of a Hodge series document of this request.
+    """The series of the Hodge series document of this request.
 
     ``text`` must be exactly what :func:`series_to_json` writes for this
-    kind, surface, genus and q_max under the document's own
-    ``surface_name`` (a string or null), checksum included; anything else
-    raises ``ValueError``.
+    kind, surface, surface_name, genus and q_max, checksum included;
+    anything else raises ``ValueError``.
     """
     try:
-        doc = json.loads(text)
-        name = doc["surface_name"]
+        # The parsed document is dropped once the series is built, so that a
+        # large entry is not held twice while it is rendered.
         series = TruncatedSeries(q_max, [
             BivariatePolynomial({(t["i"], t["j"]): int(t["c"]) for t in entry["terms"]})
-            for entry in doc["coefficients"]
+            for entry in json.loads(text)["coefficients"]
         ])
-        del doc  # so that a large entry is not held twice while it is rendered
         written = series_to_json(
-            series, kind=kind, surface_doc=surface_doc,
-            surface_name=name if type(name) is str else None, genus=genus,
+            series, kind=kind, surface_doc=surface_doc, surface_name=surface_name, genus=genus
         )
     except _MALFORMED as exc:
         raise ValueError(f"not a Hodge series document: {exc!r}") from None
     if text != written:
         raise ValueError("not the Hodge series document the writer renders for this request")
     return series
-
-
-def carries_surface_name(text: str, surface_name: str | None) -> bool:
-    """Whether a document the writer rendered carries this ``surface_name``.
-
-    ``surface_name`` is the last key of the sorted layout, and no rendered
-    value holds a raw newline, so the tail of the text decides.
-    """
-    return text.endswith(f'\n  "surface_name": {json.dumps(surface_name)}\n}}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -94,7 +96,8 @@ def test_series_json_round_trip(capsys):
     doc = json.loads(out)
     assert doc["checksum"] == reference_checksum(doc)
     parsed = serialize.series_from_document(
-        out, kind="incidence", surface_doc=registry_lookup("p1xp1").to_json(), genus=None, q_max=4
+        out, kind="incidence", surface_doc=registry_lookup("p1xp1").to_json(),
+        surface_name="p1xp1", genus=None, q_max=4,
     )
     expected = formulas.nested_hodge_series(registry_lookup("p1xp1"), 4)
     assert parsed == expected
@@ -330,25 +333,31 @@ def test_series_cache_miss_entry_equals_json_output(tmp_path, capsys):
 
 
 def test_series_cache_hit_renders_current_surface_name(tmp_path, capsys):
-    # The entry is keyed by the diamond, not the name: a hit must render the
-    # document of this request rather than replay the bytes of the entry.
+    # The key holds the surface_name: a registry name and a diamond file of
+    # the same surface write an entry each, and each hit emits its own.
     cache = tmp_path / "cache"
     path = tmp_path / "p2.json"
     path.write_text(json.dumps(registry_lookup("p2").to_json()))
     argv = ("series", "hilb", "--qmax", "4", "--format", "json")
-    assert run(capsys, *argv, "--surface", str(path), "--cache", str(cache))[0] == 0
-    [entry] = cache.iterdir()
-    assert json.loads(entry.read_text())["surface_name"] is None
-    code, out, _ = run(capsys, *argv, "--surface", "p2", "--cache", str(cache))
-    assert code == 0
-    assert json.loads(out)["surface_name"] == "p2"
-    assert out == run(capsys, *argv, "--surface", "p2")[1]
+    by_name = run(capsys, *argv, "--surface", "p2")[1]
+    by_file = run(capsys, *argv, "--surface", str(path))[1]
+    assert json.loads(by_name)["surface_name"] == "p2"
+    assert json.loads(by_file)["surface_name"] is None
+    argv += ("--cache", str(cache))
+    assert run(capsys, *argv, "--surface", str(path)) == (0, by_file, "")
+    [file_entry] = cache.iterdir()
+    assert run(capsys, *argv, "--surface", "p2") == (0, by_name, "")
+    [name_entry] = set(cache.iterdir()) - {file_entry}
+    assert (file_entry.read_text(), name_entry.read_text()) == (by_file, by_name)
+    assert run(capsys, *argv, "--surface", "p2") == (0, by_name, "")
+    assert run(capsys, *argv, "--surface", str(path)) == (0, by_file, "")
+    assert (file_entry.read_text(), name_entry.read_text()) == (by_file, by_name)
 
 
 def test_series_json_cache_hit_renders_its_document_once(tmp_path, capsys, monkeypatch):
-    # The reader renders an entry to check its bytes.  A hit under the
-    # request's surface_name then emits the entry as read; a k3 diamond file
-    # shares the key of --surface k3, so its hit renders its own document.
+    # The reader renders an entry to check its bytes, and a JSON hit emits the
+    # entry as read: one render per hit.  --surface k3 and a k3 diamond file
+    # write an entry each, and neither request changes the other's entry.
     cache = tmp_path / "cache"
     path = tmp_path / "k3.json"
     path.write_text(json.dumps(registry_lookup("k3").to_json()))
@@ -356,8 +365,11 @@ def test_series_json_cache_hit_renders_its_document_once(tmp_path, capsys, monke
     by_name = run(capsys, *argv, "--surface", "k3")[1]
     by_file = run(capsys, *argv, "--surface", str(path))[1]
     assert run(capsys, *argv, "--surface", "k3", "--cache", str(cache))[0] == 0
-    [entry] = cache.iterdir()
-    written = entry.read_bytes()
+    [name_entry] = cache.iterdir()
+    assert run(capsys, *argv, "--surface", str(path), "--cache", str(cache))[0] == 0
+    [file_entry] = set(cache.iterdir()) - {name_entry}
+    written = {p: p.read_bytes() for p in (name_entry, file_entry)}
+    assert written == {name_entry: by_name.encode(), file_entry: by_file.encode()}
     render = serialize.series_to_json
     names = []
 
@@ -370,8 +382,58 @@ def test_series_json_cache_hit_renders_its_document_once(tmp_path, capsys, monke
     assert names == ["k3"]
     names.clear()
     assert run(capsys, *argv, "--surface", str(path), "--cache", str(cache)) == (0, by_file, "")
-    assert names == ["k3", None]
-    assert entry.read_bytes() == written
+    assert names == [None]
+    assert {p: p.read_bytes() for p in cache.iterdir()} == written
+
+
+def test_series_cache_entry_of_another_surface_name_is_a_miss(tmp_path, capsys):
+    # An entry a k3 diamond file wrote (surface_name null), copied to the file
+    # name of the --surface k3 key, is not that request's output: it is
+    # rewritten, and the request emits the uncached bytes.
+    cache = tmp_path / "cache"
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(registry_lookup("k3").to_json()))
+    argv = ("series", "hilb", "--qmax", "5", "--format", "json")
+    expected = run(capsys, *argv, "--surface", "k3")[1]
+    assert run(capsys, *argv, "--surface", "k3", "--cache", str(cache))[0] == 0
+    [name_entry] = cache.iterdir()
+    name_entry.unlink()
+    assert run(capsys, *argv, "--surface", str(path), "--cache", str(cache))[0] == 0
+    [file_entry] = cache.iterdir()
+    null_named = file_entry.read_text()
+    assert json.loads(null_named)["surface_name"] is None
+    name_entry.write_text(null_named)
+    assert run(capsys, *argv, "--surface", "k3", "--cache", str(cache)) == (0, expected, "")
+    assert name_entry.read_text() == expected
+    assert file_entry.read_text() == null_named
+
+
+def test_series_cache_shared_by_concurrent_runs(tmp_path, capsys):
+    # More processes than cores write and read one entry at once, round after
+    # round: every run emits the uncached bytes, and the directory ends with
+    # one whole entry and no temp file.
+    argv = ("series", "hilb", "--surface", "k3", "--qmax", "12", "--format", "json")
+    expected = run(capsys, *argv)[1]
+    cache = tmp_path / "cache"
+    paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    for _ in range(3):
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "fiberdt", *argv, "--cache", str(cache)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(6)
+        ]
+        try:
+            results = [(*proc.communicate(timeout=60), proc.returncode) for proc in procs]
+        finally:
+            for proc in procs:
+                if proc.returncode is None:  # only after a timeout
+                    proc.kill()
+                    proc.communicate()
+        assert results == [(expected, "", 0)] * len(procs)
+    assert [(p.suffix, p.read_text()) for p in cache.iterdir()] == [(".json", expected)]
 
 
 def test_series_cache_not_written_when_crosscheck_fails(tmp_path, capsys, monkeypatch):

@@ -316,6 +316,57 @@ def test_size_cap_rejects_before_enumerating():
         MonomialIdeal.from_json([[a, SIZE_CAP - a, 0] for a in range(SIZE_CAP + 1)])
 
 
+# --- degree-0 vertex of C^3 ------------------------------------------------------
+
+
+def plane_partitions(n_max):
+    """Every plane partition of size at most ``n_max``, as a frozenset of
+    boxes (a, b, c), listed by size."""
+    by_size = [{frozenset()}]
+    for _ in range(n_max):
+        by_size.append({pi | {box} for pi in by_size[-1] for box in outer_corners(pi)})
+    return by_size
+
+
+def outer_corners(pi):
+    """The boxes outside ``pi`` whose lower neighbours all lie in it: the
+    exponents of the minimal generators of the monomial ideal I_pi."""
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    candidates = {(0, 0, 0)} | {(a + x, b + y, c + z) for a, b, c in pi for x, y, z in steps}
+    return {
+        box for box in candidates - pi
+        if all(box[i] == 0 or tuple(e - (j == i) for j, e in enumerate(box)) in pi for i in range(3))
+    }
+
+
+def signed_macmahon(n_max):
+    """q^0..q^n_max of M(-q), with M(q) = prod_k (1 - q^k)^(-k) from
+    n a_n = sum_k sigma_2(k) a_(n-k)."""
+    sigma2 = [0] + [sum(d * d for d in range(1, k + 1) if k % d == 0) for k in range(1, n_max + 1)]
+    a = [1]
+    for n in range(1, n_max + 1):
+        a.append(sum(sigma2[k] * a[n - k] for k in range(1, n + 1)) // n)
+    return [(-1) ** n * value for n, value in enumerate(a)]
+
+
+def test_hom_dimension_has_mnop_parity_and_sums_to_macmahon():
+    # At the torus-fixed point I_pi of Hilb^n(C^3), dim Hom(I_pi, C[w]/I_pi)
+    # is n mod 2 (Maulik-Nekrasov-Okounkov-Pandharipande, Compositio Math.
+    # 142 (2006)), so the signed count of fixed points of size n is the q^n
+    # coefficient of M(-q).  The quotient stops at the top box of pi, so the
+    # truncation there is exact.
+    signed_sums = []
+    for n, partitions in enumerate(plane_partitions(8)):
+        total = 0
+        for pi in partitions:
+            ideal = MonomialIdeal(tuple(sorted(outer_corners(pi))))
+            dimension = hom_dimension(ideal, max((c for _, _, c in pi), default=0)).dimension
+            assert dimension % 2 == n % 2, sorted(pi)
+            total += (-1) ** dimension
+        signed_sums.append(total)
+    assert signed_sums == signed_macmahon(8) == [1, -1, 3, -6, 13, -24, 48, -86, 160]
+
+
 # --- tangent jump report ---------------------------------------------------------
 
 

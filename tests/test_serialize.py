@@ -38,7 +38,7 @@ def with_checksum(doc):
 
 
 #: The request of the documents written from sample_series().
-SAMPLE_REQUEST = dict(kind="incidence", surface_doc=None, genus=None, q_max=3)
+SAMPLE_REQUEST = dict(kind="incidence", surface_doc=None, surface_name=None, genus=None, q_max=3)
 
 
 def reference_document(series, *, kind, surface_doc, surface_name=None, genus=None):
@@ -95,7 +95,7 @@ def test_polynomial_terms_sorted_and_stringly():
         {"i": 1, "j": 1, "c": str(10**30)},
         {"i": 2, "j": 0, "c": "-7"},
     ]
-    request = dict(kind="hilb", surface_doc=None, genus=None, q_max=0)
+    request = dict(kind="hilb", surface_doc=None, surface_name=None, genus=None, q_max=0)
     assert serialize.series_from_document(text, **request) == series
 
 
@@ -107,7 +107,8 @@ def test_document_round_trip():
     doc = json.loads(text)
     assert doc["checksum"] == reference_checksum(doc)
     assert serialize.series_from_document(
-        text, kind="incidence", surface_doc=registry_lookup("k3").to_json(), genus=None, q_max=3
+        text, kind="incidence", surface_doc=registry_lookup("k3").to_json(), surface_name="k3",
+        genus=None, q_max=3,
     ) == series
 
 
@@ -188,14 +189,20 @@ def test_series_reader_rejects_a_stale_checksum():
     assert edited.coefficients[1].terms[0, 0] == 2
 
 
-def test_carries_surface_name_reads_the_name_the_writer_rendered():
-    names = (None, "k3", "", "null", '"k3"', 'a "quoted"\n  name', "K\u00e4hler")
-    for own in names:
-        text = serialize.series_to_json(
-            sample_series(), kind="incidence", surface_doc=None, surface_name=own
-        )
-        for name in names:
-            assert serialize.carries_surface_name(text, name) == (name == own), (own, name)
+@pytest.mark.parametrize(
+    "own, name",
+    ((None, "k3"), ("k3", None), ("k3", "K3"), ("k3", "k3 "), ("null", None), ("", None)),
+)
+def test_series_reader_rejects_another_surface_name(own, name):
+    # The reader renders under the request's surface_name: a document the
+    # writer rendered under another name is not the request's output.
+    text = serialize.series_to_json(
+        sample_series(), kind="incidence", surface_doc=None, surface_name=own
+    )
+    request = {**SAMPLE_REQUEST, "surface_name": name}
+    with pytest.raises(ValueError, match="writer"):
+        serialize.series_from_document(text, **request)
+    assert serialize.series_from_document(text, **{**request, "surface_name": own}) == sample_series()
 
 
 def test_checksum_detects_payload_change():
@@ -279,8 +286,7 @@ def test_dump_series_document_equals_json_dumps(surface_name, kind, q_max):
     assert text == json.dumps(reference_document(series, **keywords), sort_keys=True, indent=2) + "\n"
     doc = json.loads(text)
     assert doc["checksum"] == reference_checksum(doc)
-    request = dict(kind=kind, surface_doc=surface.to_json(), genus=genus, q_max=q_max)
-    assert serialize.series_from_document(text, **request) == series
+    assert serialize.series_from_document(text, **keywords, q_max=q_max) == series
 
 
 def test_dump_series_document_negative_and_zero_coefficients():
