@@ -28,7 +28,7 @@ __all__ = ["main", "build_parser", "Q_MAX_CAP", "D_MAX_CAP", "HODGE_CAP", "INPUT
 # surface at full truncation order, `series hilb --surface abelian --qmax 50`,
 # about 1.5 s), and a diamond with every entry at HODGE_CAP takes about
 # 30-35 s at q_max = 50 (`hilb` at q_max = 30: about 2.2 s).  D_MAX_CAP bounds
-# the deepest elimination window.
+# the deepest constraint window.
 Q_MAX_CAP = 50
 D_MAX_CAP = 12
 # Bounds every h^{i,j} of a series surface and the fiber genus (h^{0,1} of the

@@ -19,7 +19,9 @@ the same curve carrying an embedded doubled point, cut out by
 (w1^2, w1 w2, w2^2, w1 w3, w2 w3).  Their truncated Hom dimensions are
 2 d_max + 2 and 10 + 2 d_max, a gap of 8 at fixed truncation; matching the
 two free w3-series families index by index shifts the untruncated gap to 10.
-The sparse constraint rows are solved by exact integer elimination, and the
+Multiplying by a cofactor is injective, so every constraint row either sets
+one unknown to zero or equates two unknowns.  The kernel is read off the
+connected components of that equality graph (``linalg.nullspace``), and the
 kernel vectors and basis maps stay sparse: only nonzero entries are stored.
 """
 
@@ -69,16 +71,15 @@ def _monomial_str(mono: Monomial) -> str:
     return "*".join(parts)
 
 
-class MonomialIdeal(namedtuple("MonomialIdeal", ("gens", "minimal"))):
-    """An ideal of C[w1, w2, w3] given by monomial generators.
+class MonomialIdeal(namedtuple("MonomialIdeal", ("gens",))):
+    """An ideal of C[w1, w2, w3] given by its minimal monomial generators.
 
-    ``gens`` is a tuple of exponent triples.  With ``minimal`` set (the
-    default), no generator may divide another.
+    ``gens`` is a tuple of exponent triples, no one of which divides another.
     """
 
     __slots__ = ()
 
-    def __new__(cls, gens: tuple[Monomial, ...], minimal: bool = True):
+    def __new__(cls, gens: tuple[Monomial, ...]):
         if not gens:
             raise ValueError("a monomial ideal needs at least one generator")
         for g in gens:
@@ -86,15 +87,14 @@ class MonomialIdeal(namedtuple("MonomialIdeal", ("gens", "minimal"))):
                 not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in g
             ):
                 raise ValueError(f"generator {g!r} is not a triple of nonnegative integers")
-        if minimal:
-            for a in gens:
-                for b in gens:
-                    if a is not b and _divides(a, b):
-                        raise ValueError(
-                            f"generator {_monomial_str(a)} divides {_monomial_str(b)} "
-                            "in an ideal flagged as minimal"
-                        )
-        return super().__new__(cls, gens, minimal)
+        for a in gens:
+            for b in gens:
+                if a is not b and _divides(a, b):
+                    raise ValueError(
+                        f"generator {_monomial_str(a)} divides {_monomial_str(b)}: "
+                        "generators must be minimal"
+                    )
+        return super().__new__(cls, gens)
 
     @classmethod
     def from_json(cls, triples) -> "MonomialIdeal":
@@ -241,10 +241,12 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
 
     Unknowns are the coefficients of the generator images over the truncated
     quotient basis; constraints come from every syzygy pair, evaluated with
-    the guard band described in the module docstring.  The nullspace of the
-    resulting sparse integer system is the answer.  Ideals whose size
-    (generators x w1 box x w2 box x guard window depth) exceeds
-    :data:`SIZE_CAP` are rejected with a ValueError before any enumeration.
+    the guard band described in the module docstring.  Each kernel vector
+    is the 0/1 indicator of a connected component of the equalities that
+    holds no zeroed unknown; the rank is the number of unknowns less their
+    count.  Ideals whose size (generators x w1 box x w2 box x guard window
+    depth) exceeds :data:`SIZE_CAP` are rejected with a ValueError before
+    any enumeration.
     """
     gens = ideal.gens
     # The largest w3 cofactor exponent of any generator pair.
@@ -258,14 +260,7 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
     n_unknowns = len(gens) * n_basis
     window = standard_monomials(ideal, d_max + guard)
     rows = _constraint_rows(ideal, quotient, window)
-    reduced, pivots = linalg.rref(rows, n_unknowns)
-    null_basis = linalg.nullspace(reduced, n_unknowns, pivots=pivots)
-    rk = len(pivots)
-    if rk + len(null_basis) != n_unknowns:
-        raise RuntimeError(
-            f"rank {rk} plus nullity {len(null_basis)} does not account for "
-            f"{n_unknowns} unknowns"
-        )
+    null_basis = linalg.nullspace(rows, n_unknowns)
     basis_maps = tuple(tuple({} for _ in gens) for _ in null_basis)
     for images, vec in zip(basis_maps, null_basis):
         for unknown, c in vec.items():
@@ -276,7 +271,7 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
         d_max=d_max,
         quotient=quotient,
         dimension=len(null_basis),
-        rank=rk,
+        rank=n_unknowns - len(null_basis),
         n_unknowns=n_unknowns,
         basis_maps=basis_maps,
     )

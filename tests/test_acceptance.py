@@ -28,12 +28,14 @@ from fiberdt.geometry import (
 from fiberdt.localhom import (
     LINE_IDEAL,
     LINE_WITH_EMBEDDED_POINT_IDEAL,
+    _constraint_rows,
     hom_dimension,
+    standard_monomials,
     verify_hom_solution,
 )
-from fiberdt.linalg import rank
 from fiberdt.oracles import colored_partitions_count, nested_colored_count
 from fiberdt.polyseries import series_product
+from linalg_reference import rank as reference_rank
 from series_reference import mul, one, poly_mul
 
 SURFACES = surface_names()
@@ -165,9 +167,15 @@ def test_criterion_7_invariant_suites():
             product = mul(series_product([(a, b, k, e)], 10), series_product([(a, b, k, -e)], 10))
             assert product == one(10)
 
-        # solver accounting: rank + nullity = unknowns, verified basis maps
+        # solver accounting: the rank of the constraint rows by a reference
+        # elimination plus the nullity is the number of unknowns, and the
+        # basis maps verify and are independent
         for ideal, d in ((LINE_IDEAL, 5), (LINE_WITH_EMBEDDED_POINT_IDEAL, 4)):
             solution = hom_dimension(ideal, d)
+            guard = max(g[2] for g in ideal.gens) - min(g[2] for g in ideal.gens)
+            window = standard_monomials(ideal, d + guard)
+            rows = _constraint_rows(ideal, solution.quotient, window)
+            assert reference_rank(rows, solution.n_unknowns) == solution.rank
             assert solution.rank + solution.dimension == solution.n_unknowns
             assert verify_hom_solution(solution)
             n_basis = len(solution.quotient.basis)
@@ -175,4 +183,4 @@ def test_criterion_7_invariant_suites():
                 {g * n_basis + b: c for g, image in enumerate(images) for b, c in image.items()}
                 for images in solution.basis_maps
             ]
-            assert rank(flat, solution.n_unknowns) == solution.dimension
+            assert reference_rank(flat, solution.n_unknowns) == solution.dimension

@@ -1,149 +1,137 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
-from fiberdt.linalg import nullspace, rank, rref
+import linalg_reference
+from fiberdt.linalg import nullspace
 
 
-def dense_fraction_rref(rows, n_cols):
-    """Reference reduced echelon form: dense rows, exact rational pivots of 1."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat, pivots
+class RepeatedColumn(Mapping):
+    """A row that lists column 0 twice, with entries 1 and -1 (a dict cannot)."""
+
+    def __getitem__(self, column):
+        return {0: 1}[column]
+
+    def __iter__(self):
+        return iter((0, 0))
+
+    def __len__(self):
+        return 2
+
+    def items(self):
+        return [(0, 1), (0, -1)]
 
 
-def dense_fraction_nullspace(rows, n_cols):
-    """Reference kernel basis, one primitive vector with positive lead per free column."""
-    mat, pivots = dense_fraction_rref(rows, n_cols)
-    basis = []
-    for free in sorted(set(range(n_cols)) - set(pivots)):
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][free]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in vec]
-        g = gcd(*ints)
-        sign = -1 if next(v for v in ints if v) < 0 else 1
-        basis.append([sign * v // g for v in ints])
-    return basis
-
-
-def sparse(dense_rows):
-    """``{column: int}`` form of dense rows or vectors, nonzero entries only."""
-    return [{c: x for c, x in enumerate(row) if x} for row in dense_rows]
-
-
-def random_matrices(seed, count):
+def random_systems(seed, count):
+    """Seeded equality-and-zero systems: random equalities in either order
+    (which close cycles), a closed cycle, zeroed unknowns with either sign,
+    and unknowns that no row touches."""
     rng = random.Random(seed)
     for _ in range(count):
-        n_rows, n_cols = rng.randint(0, 6), rng.randint(1, 7)
-        density = rng.random()
-        yield [
-            [rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n_cols)]
-            for _ in range(n_rows)
-        ], n_cols
-
-
-def test_rref_identity():
-    mat, pivots = rref([{0: 1}, {1: 1}], 2)
-    assert pivots == [0, 1]
-    assert mat == [{0: 1}, {1: 1}]
-
-
-def test_rref_rational_pivot():
-    mat, pivots = rref([{0: 2, 1: 4}, {0: 1, 1: 2}], 2)
-    assert pivots == [0]
-    assert mat[0] == {0: 1, 1: 2}
-
-
-def test_rejects_non_integer_entries():
-    for entry in (Fraction(1, 2), Fraction(2), 1.0, True):
-        with pytest.raises(ValueError, match="integer"):
-            rref([{0: 1, 1: entry}], 2)
-        with pytest.raises(ValueError, match="integer"):
-            nullspace([{0: entry}], 2)
-    with pytest.raises(ValueError, match="column"):
-        rank([{2: 1}], 2)
-    # Dense rows are not accepted: every row is a {column: int} map.
-    for row in ([1, 2], (1, 2), [1, 2, 3]):
-        with pytest.raises(ValueError, match="map"):
-            rank([row], 2)
-
-
-def test_rank():
-    assert rank([], 3) == 0
-    assert rank([{}], 3) == 0
-    assert rank([{0: 0, 2: 0}], 3) == 0
-    assert rank(sparse([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), 3) == 2
+        n_cols = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            u, v = rng.sample(range(n_cols), 2) if n_cols > 1 else (0, 0)
+            if u != v and rng.random() < 0.7:
+                rows.append({u: 1, v: -1})
+            else:
+                rows.append({u: rng.choice((1, -1))})
+        if n_cols > 2 and rng.random() < 0.5:
+            cycle = rng.sample(range(n_cols), 3)
+            rows += [{cycle[k]: 1, cycle[k - 1]: -1} for k in range(3)]
+        rng.shuffle(rows)
+        yield rows, n_cols
 
 
 def test_nullspace_full():
+    # No rows: every unknown is a component of its own.
     assert nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert nullspace([], 0) == []
 
 
 def test_nullspace_trivial():
-    assert nullspace([{0: 1}, {1: 1}], 2) == []
+    assert nullspace([{0: 1}, {1: -1}], 2) == []
+    assert nullspace([{0: 1, 1: -1}, {1: 1}], 2) == []
 
 
 def test_nullspace_known_kernels():
-    # Leading nonzero entries are normalized to be positive.
-    assert nullspace([{0: 1, 1: 2}, {0: 1, 1: 2}], 2) == [{0: 2, 1: -1}]
-    assert nullspace([{0: 1, 1: 1}, {0: 2, 1: 2}], 2) == [{0: 1, 1: -1}]
-    assert nullspace(sparse([[2, 2, 2], [3, 3, 3]]), 3) == [{0: 1, 1: -1}, {0: 1, 2: -1}]
+    # A zeroed unknown leaves the kernel, with its whole component.
+    assert nullspace([{1: 1}], 3) == [{0: 1}, {2: 1}]
+    rows = [{0: 1, 1: -1}, {2: 1, 1: -1}, {2: -1}, {3: 1, 4: -1}]
+    assert nullspace(rows, 5) == [{3: 1, 4: 1}]
+    # A cycle of equalities is one vector.
+    assert nullspace([{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: -1}], 3) == [{0: 1, 1: 1, 2: 1}]
+    # Vectors are sorted by the largest column of their component.
+    assert nullspace([{0: 1, 2: -1}], 3) == [{1: 1}, {0: 1, 2: 1}]
+    assert nullspace([{3: 1, 0: -1}, {1: 1, 2: -1}], 4) == [{1: 1, 2: 1}, {0: 1, 3: 1}]
 
 
 def test_nullspace_vectors_are_primitive_integers():
-    basis = nullspace([{0: 2, 2: 1}, {1: 2, 2: 1}], 3)
-    assert basis == [{0: 1, 1: 1, 2: -2}]
-
-
-def test_nullspace_of_a_reduced_matrix():
-    rows = sparse([[3, 1, 0, 2], [0, 5, 1, 1], [3, 6, 1, 3]])
-    mat, pivots = rref(rows, 4)
-    assert nullspace(mat, 4, pivots=pivots) == nullspace(rows, 4)
+    # Every kernel vector is the 0/1 indicator of its component, and the
+    # components are disjoint.
+    for rows, n_cols in random_systems(seed=7, count=200):
+        basis = nullspace(rows, n_cols)
+        assert all(x == 1 for vec in basis for x in vec.values())
+        columns = [c for vec in basis for c in vec]
+        assert len(columns) == len(set(columns))
 
 
 def test_nullspace_annihilates():
-    rows = sparse([[3, 1, 0, 2], [0, 5, 1, 1], [3, 6, 1, 3]])
-    for vec in nullspace(rows, 4):
+    rows = [{0: 1, 3: -1}, {4: 1, 3: -1}, {1: -1}, {2: 1, 5: -1}, {5: 1, 1: -1}, {6: 1, 7: -1}]
+    basis = nullspace(rows, 8)
+    assert basis == [{0: 1, 3: 1, 4: 1}, {6: 1, 7: 1}]
+    for vec in basis:
         for row in rows:
             assert sum(x * vec.get(c, 0) for c, x in row.items()) == 0
 
 
 def test_matches_dense_fraction_reference():
-    for rows, n_cols in random_matrices(seed=20, count=400):
-        expected_mat, expected_pivots = dense_fraction_rref(rows, n_cols)
-        expected = sparse(dense_fraction_nullspace(rows, n_cols))
-        sparse_rows = sparse(rows)
-        assert rank(sparse_rows, n_cols) == len(expected_pivots)
-        assert nullspace(sparse_rows, n_cols) == expected
-        mat, pivots = rref(sparse_rows, n_cols)
-        assert pivots == expected_pivots
-        for row, pc, reference in zip(mat, pivots, expected_mat):
-            assert gcd(*row.values()) == 1 and row[pc] > 0
-            assert [Fraction(row.get(c, 0), row[pc]) for c in range(n_cols)] == reference
-        for vec in nullspace(sparse_rows, n_cols):
-            assert all(vec.values())
-            assert gcd(*vec.values()) == 1
-            assert vec[min(vec)] > 0
+    for rows, n_cols in random_systems(seed=20, count=600):
+        basis = nullspace(rows, n_cols)
+        assert basis == linalg_reference.nullspace(rows, n_cols), (rows, n_cols)
+        assert len(basis) + linalg_reference.rank(rows, n_cols) == n_cols
+        for vec in basis:
             for row in rows:
-                assert sum(r * vec.get(c, 0) for c, r in enumerate(row)) == 0
+                assert sum(x * vec.get(c, 0) for c, x in row.items()) == 0
+
+
+def test_reference_on_a_general_matrix():
+    # The reference itself, on rows no Hom system has.
+    rows = [{0: 3, 1: 1, 3: 2}, {1: 5, 2: 1, 3: 1}, {0: 3, 1: 6, 2: 1, 3: 3}]
+    assert linalg_reference.rank(rows, 4) == 2
+    assert linalg_reference.nullspace([{0: 2, 2: 1}, {1: 2, 2: 1}], 3) == [{0: 1, 1: 1, 2: -2}]
+
+
+@pytest.mark.parametrize(
+    "row",
+    (
+        pytest.param({0: 2}, id="coefficient-2"),
+        pytest.param({0: 2, 1: -2}, id="equality-times-2"),
+        pytest.param({0: 1, 1: 1}, id="two-plus"),
+        pytest.param({0: -1, 1: -1}, id="two-minus"),
+        pytest.param({0: 1, 1: -1, 2: 1}, id="three-entries"),
+        pytest.param(RepeatedColumn(), id="u-equals-v"),
+        pytest.param({2: 1}, id="column-out-of-range"),
+        pytest.param({-1: 1}, id="negative-column"),
+        pytest.param({0: 1, 1: 0}, id="stored-zero"),
+        pytest.param({}, id="empty"),
+        pytest.param([1, -1], id="dense-list"),
+        pytest.param((1, -1), id="dense-tuple"),
+    ),
+)
+def test_rejects_every_other_row_shape(row):
+    with pytest.raises(ValueError, match="neither"):
+        nullspace([{0: 1, 1: -1}, row], 2)
+
+
+def test_rejects_non_integer_entries():
+    for entry in (True, 1.0, Fraction(1), Fraction(1, 2)):
+        with pytest.raises(ValueError, match="neither"):
+            nullspace([{0: entry}], 2)
+        with pytest.raises(ValueError, match="neither"):
+            nullspace([{0: entry, 1: -1}], 2)
+    # A bool column, although True == 1.
+    with pytest.raises(ValueError, match="neither"):
+        nullspace([{True: 1}], 2)

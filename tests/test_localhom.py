@@ -1,10 +1,14 @@
+import importlib.util
+import random
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import linalg_reference
 from fiberdt import linalg
-from fiberdt.linalg import rank
 from fiberdt.localhom import (
     LINE_IDEAL,
     LINE_WITH_EMBEDDED_POINT_IDEAL,
@@ -28,8 +32,6 @@ def test_ideal_validation():
         MonomialIdeal(())
     with pytest.raises(ValueError, match="divides"):
         MonomialIdeal(((1, 0, 0), (2, 0, 0)))
-    # Non-minimal generator lists are allowed when flagged.
-    MonomialIdeal(((1, 0, 0), (2, 0, 0)), minimal=False)
     with pytest.raises(ValueError, match="triple"):
         MonomialIdeal(((1, 0),))
 
@@ -92,7 +94,7 @@ def test_standard_monomials_unbounded():
     with pytest.raises(ValueError, match="unbounded in the w2"):
         standard_monomials(MonomialIdeal(((1, 0, 0),)), 2)
     with pytest.raises(ValueError, match="unbounded in the w1"):
-        standard_monomials(MonomialIdeal(((1, 1, 0), (0, 2, 0)), minimal=False), 2)
+        standard_monomials(MonomialIdeal(((1, 1, 0), (0, 2, 0))), 2)
 
 
 # --- syzygy pairs ---------------------------------------------------------------
@@ -134,20 +136,24 @@ def test_hand_checked_example():
 
 
 def test_rank_plus_nullity():
+    # The rank of the constraint rows by a reference elimination, plus the
+    # number of basis maps, accounts for every unknown.
     for ideal, d in ((LINE_IDEAL, 4), (LINE_WITH_EMBEDDED_POINT_IDEAL, 3), (POINT_IDEAL, 2)):
         solution = hom_dimension(ideal, d)
-        assert solution.rank + solution.dimension == solution.n_unknowns
+        rows, n_unknowns = constraint_system(ideal, d)
+        assert n_unknowns == solution.n_unknowns
+        assert linalg_reference.rank(rows, n_unknowns) + solution.dimension == n_unknowns
 
 
 def test_hom_dimension_eliminates_once(monkeypatch):
     calls = []
-    rref = linalg.rref
+    nullspace = linalg.nullspace
 
-    def counting_rref(rows, n_cols):
+    def counting_nullspace(rows, n_cols):
         calls.append(n_cols)
-        return rref(rows, n_cols)
+        return nullspace(rows, n_cols)
 
-    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "nullspace", counting_nullspace)
     for ideal, d in ((LINE_IDEAL, 2), (LINE_WITH_EMBEDDED_POINT_IDEAL, 3)):
         calls.clear()
         hom_dimension(ideal, d)
@@ -162,7 +168,60 @@ def test_basis_maps_verify_and_are_independent():
         {g * n_basis + b: c for g, image in enumerate(images) for b, c in image.items()}
         for images in solution.basis_maps
     ]
-    assert rank(flat, solution.n_unknowns) == solution.dimension
+    assert linalg_reference.rank(flat, solution.n_unknowns) == solution.dimension
+
+
+def constraint_system(ideal, d_max):
+    """The constraint rows of ``hom_dimension(ideal, d_max)`` and the number
+    of unknowns."""
+    guard = max(g[2] for g in ideal.gens) - min(g[2] for g in ideal.gens)
+    quotient = standard_monomials(ideal, d_max)
+    rows = _constraint_rows(ideal, quotient, standard_monomials(ideal, d_max + guard))
+    return rows, len(ideal.gens) * len(quotient.basis)
+
+
+def random_ideals(seed, count):
+    """Seeded minimal monomial ideals with pure powers of w1 and w2, each with
+    a truncation degree."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        gens = {(a, 0, 0), (0, b, 0)}
+        for _ in range(rng.randint(0, 4)):
+            gens.add((rng.randint(0, a), rng.randint(0, b), rng.randint(0, 2)))
+        minimal = [
+            g for g in gens if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in gens)
+        ]
+        yield MonomialIdeal(tuple(sorted(minimal))), rng.randint(0, 3)
+
+
+def test_rank_matches_the_reference_elimination():
+    for ideal, d in random_ideals(seed=18, count=60):
+        rows, n_unknowns = constraint_system(ideal, d)
+        assert hom_dimension(ideal, d).rank == linalg_reference.rank(rows, n_unknowns), (ideal, d)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_rank_matches_the_reference_elimination_on_benchmark_ideals(monkeypatch):
+    if not (PERFBENCH / "workloads.py").is_file():
+        pytest.skip("perfbench/ is not part of this tree")
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    systems = []
+    for request in workloads.all_requests("localhom"):
+        d = request.spec["d_max"]
+        if request.spec["type"] == "localhom-ideal":
+            systems.append((MonomialIdeal.from_json(request.spec["ideal"]), d))
+        else:
+            systems += [(LINE_IDEAL, d), (LINE_WITH_EMBEDDED_POINT_IDEAL, d)]
+    assert len(systems) > 20
+    for ideal, d in systems:
+        rows, n_unknowns = constraint_system(ideal, d)
+        assert hom_dimension(ideal, d).rank == linalg_reference.rank(rows, n_unknowns), (ideal, d)
 
 
 def test_embedded_point_solution_shape():

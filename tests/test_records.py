@@ -19,11 +19,11 @@ K3 = registry_lookup("k3")
 
 def test_monomial_ideal_construction_and_default():
     gens = ((1, 0, 0), (0, 1, 0))
-    for ideal in (MonomialIdeal(gens), MonomialIdeal(gens, True), MonomialIdeal(gens=gens)):
+    for ideal in (MonomialIdeal(gens), MonomialIdeal(gens=gens)):
         assert ideal.gens == gens
-        assert ideal.minimal is True
-    loose = MonomialIdeal(((1, 0, 0), (2, 0, 0), (0, 1, 0)), minimal=False)
-    assert loose.minimal is False
+        assert ideal._fields == ("gens",)
+    with pytest.raises(TypeError):
+        MonomialIdeal(gens, False)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +122,7 @@ def test_equal_records_hash_equal(index):
 
 def test_repr_keeps_the_dataclass_form():
     assert repr(MonomialIdeal(((1, 0, 0), (0, 1, 0)))) == (
-        "MonomialIdeal(gens=((1, 0, 0), (0, 1, 0)), minimal=True)"
+        "MonomialIdeal(gens=((1, 0, 0), (0, 1, 0)))"
     )
     assert repr(TruncatedQuotient(LINE_IDEAL, 0, ((0, 0, 0),))) == (
         f"TruncatedQuotient(ideal={LINE_IDEAL!r}, d_max=0, basis=((0, 0, 0),))"
