@@ -25,7 +25,6 @@ _SOURCES = {
         "K_TRIVIAL_SURFACE_NAMES",
         "curve_diamond",
         "registry_lookup",
-        "registry_names",
         "surface_names",
         "surface_with_euler_number",
     ),

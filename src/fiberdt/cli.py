@@ -212,11 +212,11 @@ def _cmd_series(args) -> None:
     if kind == "im1":
         if args.genus is None:
             raise UsageError("im1 series require --genus")
-        fibration = FibrationSpec(surface, args.genus)
+        geometry = FibrationSpec(surface, args.genus)
     else:
         if args.genus is not None:
             raise UsageError("--genus applies only to im1 series")
-        fibration = None
+        geometry = surface
     if max(max(row) for row in surface.grid) > HODGE_CAP or (args.genus or 0) > HODGE_CAP:
         raise ValueError(f"Hodge numbers and --genus must not exceed the cap {HODGE_CAP}")
 
@@ -239,8 +239,8 @@ def _cmd_series(args) -> None:
             hodge_json = None  # not held through the render of another format
     write_entry = path is not None and series is None
     if series is None:
-        series = _compute_series(kind, surface, fibration, args.q_max)
-    _crosscheck_series(kind, surface, fibration, series)
+        series = _compute_series(kind, geometry, args.q_max)
+    _crosscheck_series(kind, geometry, series)
 
     # The Hodge JSON is rendered at most once: a hit that emits it emits the
     # entry, which the reader has checked to be the request's JSON output.
@@ -276,20 +276,20 @@ def _cmd_series(args) -> None:
     _emit(text, args.out)
 
 
-def _compute_series(kind: str, surface, fibration, q_max: int):
+def _compute_series(kind: str, geometry, q_max: int):
     from . import formulas
 
     if kind == "hilb":
-        return formulas.hilbert_hodge_series(surface, q_max)
+        return formulas.hilbert_hodge_series(geometry, q_max)
     if kind == "incidence":
-        return formulas.nested_hodge_series(surface, q_max)
-    return formulas.ideal_sheaf_hodge_series(fibration, q_max)
+        return formulas.nested_hodge_series(geometry, q_max)
+    return formulas.ideal_sheaf_hodge_series(geometry, q_max)
 
 
-def _crosscheck_series(kind, surface, fibration, series) -> None:
+def _crosscheck_series(kind, geometry, series) -> None:
     from . import formulas
 
-    formulas.verify_series(kind, surface, fibration, series)
+    formulas.verify_series(kind, geometry, series)
 
 
 # ---------------------------------------------------------------------------

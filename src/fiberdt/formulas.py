@@ -145,10 +145,10 @@ def dt_table(fibration: FibrationSpec, m_max: int) -> tuple[tuple[int, int], ...
     """(Euler number, Donaldson-Thomas number) of every moduli space labelled
     0..m_max, all read off one ideal-sheaf series.
 
-    Requires the trivial-canonical setting: base surface flagged K = 0,
-    elliptic fiber (genus 1) and vanishing beta.K, so each moduli space is
-    smooth with obstruction bundle dual to its tangent bundle and the
-    invariant is (-1)^dim times the Euler number.
+    Requires the trivial-canonical setting: base surface flagged K = 0 and
+    elliptic fiber (genus 1), which is exactly beta.K = 2g - 2 = 0, so each
+    moduli space is smooth with obstruction bundle dual to its tangent bundle
+    and the invariant is (-1)^dim times the Euler number.
 
     The Euler column is checked against :func:`ideal_sheaf_euler_direct` and
     every invariant against the vanishing that the setting forces; either
@@ -160,9 +160,10 @@ def dt_table(fibration: FibrationSpec, m_max: int) -> tuple[tuple[int, int], ...
             "canonical class (K = 0: registry surfaces k3 or abelian)"
         )
     if fibration.fiber_genus != 1:
-        raise ValueError("Donaldson-Thomas evaluation requires an elliptic fiber (genus 1)")
-    if fibration.beta_dot_kx != 0:
-        raise ValueError("Donaldson-Thomas evaluation requires beta.K = 0")
+        raise ValueError(
+            "Donaldson-Thomas evaluation requires an elliptic fiber (genus 1, so "
+            f"beta.K = 0), got genus {fibration.fiber_genus}"
+        )
     if m_max < 0:
         raise ValueError("moduli label must be nonnegative")
     euler = ideal_sheaf_euler_sequence(fibration, m_max + 1)
@@ -231,26 +232,32 @@ def ideal_sheaf_euler_direct(chi_total: int, chi_base: int, q_max: int) -> tuple
 
 
 def verify_series(
-    kind: str, surface: HodgeDiamond, fibration: FibrationSpec | None, series: TruncatedSeries
+    kind: str, geometry: HodgeDiamond | FibrationSpec, series: TruncatedSeries
 ) -> None:
-    """Check a Hodge series of the given kind ("hilb", "incidence" or "im1")
-    against the routes that do not build it.
+    """Check a Hodge series of the given kind against the routes that do not
+    build it.
 
-    Every coefficient must be symmetric under swapping s and t, and the
-    s = t = 1 specialization must equal the direct integer series of the
-    surface (``hilb``, ``incidence``) or of ``fibration`` (``im1``).  A
-    failure raises ``RuntimeError``.
+    ``geometry`` is what the series was built from: the surface
+    (a :class:`HodgeDiamond`) for "hilb" and "incidence", the
+    :class:`FibrationSpec` for "im1".  Every coefficient must be symmetric
+    under swapping s and t, and the s = t = 1 specialization must equal the
+    direct integer series of ``geometry``.  A failure raises ``RuntimeError``;
+    a geometry of the other kind raises ``ValueError``.
     """
     if kind not in ("hilb", "incidence", "im1"):
         raise ValueError(f"unknown series kind {kind!r}")
+    if isinstance(geometry, FibrationSpec) != (kind == "im1"):
+        wanted = "a FibrationSpec" if kind == "im1" else "a surface HodgeDiamond"
+        raise ValueError(f"{kind} series are checked against {wanted}")
     for m, poly in enumerate(series.coefficients):
         if poly.swap_variables() != poly:
             raise RuntimeError(f"q^{m} coefficient is not symmetric under swapping s and t")
-    chi_base = surface.euler_number()
     if kind == "hilb":
-        expected = hilbert_euler_direct(chi_base, series.q_max)
+        expected = hilbert_euler_direct(geometry.euler_number(), series.q_max)
     else:
-        chi_total = chi_base if kind == "incidence" else fibration.euler_number()
-        expected = ideal_sheaf_euler_direct(chi_total, chi_base, series.q_max)
+        base = geometry.base if kind == "im1" else geometry
+        expected = ideal_sheaf_euler_direct(
+            geometry.euler_number(), base.euler_number(), series.q_max
+        )
     if series.euler_sequence() != expected:
         raise RuntimeError("Euler specialization disagrees with the direct integer series")

@@ -1,4 +1,4 @@
-"""Hodge diamonds, a small registry of standard geometries, and curve
+"""Hodge diamonds, a small registry of standard surfaces, and curve
 fibrations over surfaces.
 
 The virtual Hodge polynomial used throughout is normalized as
@@ -8,7 +8,6 @@ at s = t = 1 recovers the topological Euler number.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 
 from .polyseries import BivariatePolynomial
@@ -19,7 +18,6 @@ __all__ = [
     "FibrationSpec",
     "curve_diamond",
     "registry_lookup",
-    "registry_names",
     "surface_names",
     "surface_with_euler_number",
     "K_TRIVIAL_SURFACE_NAMES",
@@ -141,24 +139,17 @@ def curve_diamond(genus: int) -> HodgeDiamond:
     return HodgeDiamond([[1, genus], [genus, 1]])
 
 
-_POINT = HodgeDiamond([[1]])
-_P2 = HodgeDiamond([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-_P1XP1 = HodgeDiamond([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
-_K3 = HodgeDiamond([[1, 0, 1], [0, 20, 0], [1, 0, 1]])
-_ABELIAN = HodgeDiamond([[1, 2, 1], [2, 4, 2], [1, 2, 1]])
-
-_SURFACES = {"p2": _P2, "p1xp1": _P1XP1, "k3": _K3, "abelian": _ABELIAN}
+_SURFACES = {
+    "p2": HodgeDiamond([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "p1xp1": HodgeDiamond([[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
+    "k3": HodgeDiamond([[1, 0, 1], [0, 20, 0], [1, 0, 1]]),
+    "abelian": HodgeDiamond([[1, 2, 1], [2, 4, 2], [1, 2, 1]]),
+}
 
 #: Registry surfaces whose canonical class vanishes identically.  Only these
 #: qualify for the Donaldson-Thomas path; surfaces with merely torsion
 #: canonical class are deliberately left unflagged.
 K_TRIVIAL_SURFACE_NAMES = frozenset({"k3", "abelian"})
-
-_CURVE_NAME = re.compile(r"curve\((\d+)\)")
-
-
-def registry_names() -> tuple[str, ...]:
-    return ("point", "curve(g)") + tuple(sorted(_SURFACES))
 
 
 def surface_names() -> tuple[str, ...]:
@@ -166,20 +157,12 @@ def surface_names() -> tuple[str, ...]:
 
 
 def registry_lookup(name: str) -> HodgeDiamond:
-    """Return the standard diamond registered under ``name``.
-
-    Accepted names: point, curve(g) with g a nonnegative integer, p2, p1xp1,
-    k3, abelian.
-    """
-    if name == "point":
-        return _POINT
-    match = _CURVE_NAME.fullmatch(name)
-    if match:
-        return curve_diamond(int(match.group(1)))
+    """Return the diamond of the registry surface ``name``: p2, p1xp1, k3 or
+    abelian.  Curves come from :func:`curve_diamond`."""
     try:
         return _SURFACES[name]
     except KeyError:
-        known = ", ".join(registry_names())
+        known = ", ".join(surface_names())
         raise ValueError(f"unknown geometry {name!r}; known names: {known}") from None
 
 
@@ -198,39 +181,35 @@ def surface_with_euler_number(chi: int) -> HodgeDiamond:
     return HodgeDiamond([[1, genus, 0], [genus, middle, genus], [0, genus, 1]])
 
 
-class FibrationSpec(
-    namedtuple("FibrationSpec", ("base", "fiber_genus", "beta_dot_kx", "base_canonical_trivial"))
-):
+class FibrationSpec(namedtuple("FibrationSpec", ("base", "fiber_genus", "base_canonical_trivial"))):
     """A 3-fold presented as a Zariski-locally trivial curve fibration.
 
     The base surface is given by its Hodge diamond, the fiber by its genus.
-    ``beta_dot_kx`` is the intersection number of the fiber class with the
-    canonical class of the total space (zero in the trivial-canonical cases
-    this package cares about), and ``base_canonical_trivial`` records whether
-    the base came from a registry entry flagged as having K = 0.
+    ``base_canonical_trivial`` records whether the base came from a registry
+    entry flagged as having K = 0.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        base: HodgeDiamond,
-        fiber_genus: int,
-        beta_dot_kx: int = 0,
-        base_canonical_trivial: bool = False,
-    ):
+    def __new__(cls, base: HodgeDiamond, fiber_genus: int, base_canonical_trivial: bool = False):
         if base.dim != 2:
             raise ValueError(f"fibration base must be a surface, got dimension {base.dim}")
         if fiber_genus < 0:
             raise ValueError("fiber genus must be nonnegative")
-        return super().__new__(cls, base, fiber_genus, beta_dot_kx, base_canonical_trivial)
+        return super().__new__(cls, base, fiber_genus, base_canonical_trivial)
 
     @classmethod
-    def from_surface_name(cls, name: str, fiber_genus: int, beta_dot_kx: int = 0) -> "FibrationSpec":
-        base = registry_lookup(name)
-        if base.dim != 2:
-            raise ValueError(f"{name!r} is not a surface")
-        return cls(base, fiber_genus, beta_dot_kx, name in K_TRIVIAL_SURFACE_NAMES)
+    def from_surface_name(cls, name: str, fiber_genus: int) -> "FibrationSpec":
+        return cls(registry_lookup(name), fiber_genus, name in K_TRIVIAL_SURFACE_NAMES)
+
+    @property
+    def beta_dot_kx(self) -> int:
+        """The fiber class beta against the canonical class of the 3-fold.
+
+        A fiber F has trivial normal bundle, so adjunction gives
+        K_X|_F = K_F, of degree 2g - 2.
+        """
+        return 2 * self.fiber_genus - 2
 
     def fiber_diamond(self) -> HodgeDiamond:
         return curve_diamond(self.fiber_genus)

@@ -203,11 +203,11 @@ class TruncatedSeries:
     """A power series in q truncated at order ``q_max``.
 
     The coefficient of q^m is a :class:`BivariatePolynomial`, stored at index
-    m of an internal tuple of length ``q_max + 1``.  Series have no
-    arithmetic of their own: :func:`series_product` builds every product.
+    m of the one stored field, a tuple of length ``q_max + 1``.  Series have
+    no arithmetic of their own: :func:`series_product` builds every product.
     """
 
-    __slots__ = ("_q_max", "_coeffs")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, q_max: int, coefficients: Iterable[BivariatePolynomial | int] = ()):
         if q_max < 0:
@@ -218,13 +218,11 @@ class TruncatedSeries:
                 f"{len(coeffs)} coefficients supplied for truncation order {q_max}"
             )
         coeffs.extend([_ZERO] * (q_max + 1 - len(coeffs)))
-        self._q_max = q_max
         self._coeffs = tuple(coeffs)
 
     @classmethod
-    def _raw(cls, q_max: int, coeffs: tuple[BivariatePolynomial, ...]) -> "TruncatedSeries":
+    def _raw(cls, coeffs: tuple[BivariatePolynomial, ...]) -> "TruncatedSeries":
         obj = object.__new__(cls)
-        obj._q_max = q_max
         obj._coeffs = coeffs
         return obj
 
@@ -234,7 +232,7 @@ class TruncatedSeries:
 
     @property
     def q_max(self) -> int:
-        return self._q_max
+        return len(self._coeffs) - 1
 
     @property
     def coefficients(self) -> tuple[BivariatePolynomial, ...]:
@@ -247,7 +245,7 @@ class TruncatedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._q_max == other._q_max and self._coeffs == other._coeffs
+        return self._coeffs == other._coeffs
 
     def __str__(self) -> str:
         body = " ; ".join(f"q^{m}: {c}" for m, c in enumerate(self._coeffs))
@@ -331,7 +329,7 @@ def series_product(
         keys = [(r - half + j, j) for j, r in (divmod(n, width) for n in slots)]
     else:
         keys = [divmod(n, width) for n in slots]
-    return TruncatedSeries._raw(q_max, tuple(_unpack(v, bits, keys) for v in coeffs))
+    return TruncatedSeries._raw(tuple(_unpack(v, bits, keys) for v in coeffs))
 
 
 def _coefficient_majorant(kept: list[tuple[int, int, int, int]], q_max: int) -> int:

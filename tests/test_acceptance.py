@@ -20,6 +20,7 @@ from fiberdt.formulas import (
 )
 from fiberdt.geometry import (
     FibrationSpec,
+    HodgeDiamond,
     curve_diamond,
     registry_lookup,
     surface_names,
@@ -134,8 +135,8 @@ def test_criterion_7_invariant_suites():
     with criterion(7, "registry, symmetry, ring axiom, inverse and solver invariants"):
         # registry diamonds satisfy every diamond invariant (validation runs
         # in the constructor) and specialize to their Euler numbers
-        for name in ("point", "curve(0)", "curve(2)") + SURFACES:
-            diamond = registry_lookup(name)
+        diamonds = [HodgeDiamond([[1]]), curve_diamond(0), curve_diamond(2)]
+        for diamond in diamonds + [registry_lookup(name) for name in SURFACES]:
             direct = sum(
                 (-1) ** (i + j) * diamond.hodge(i, j)
                 for i in range(diamond.dim + 1)

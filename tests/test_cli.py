@@ -53,6 +53,23 @@ def test_series_unknown_surface(capsys):
     assert "unknown geometry" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("series", "hilb", "--surface", "point", "--qmax", "3"),
+        ("series", "im1", "--surface", "curve(1)", "--genus", "1", "--qmax", "3"),
+        ("dt", "--surface", "point", "--mmax", "2"),
+        ("dt", "--surface", "curve(1)", "--mmax", "2"),
+    ),
+)
+def test_point_and_curve_are_not_registry_names(capsys, argv):
+    name = argv[argv.index("--surface") + 1]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"validation error: unknown geometry {name!r}")
+    assert "known names: abelian, k3, p1xp1, p2" in err
+
+
 def test_series_qmax_over_cap(capsys):
     code, _, err = run(capsys, "series", "hilb", "--surface", "p2", "--qmax", "51")
     assert code == 2

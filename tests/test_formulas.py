@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from fiberdt.formulas import (
 )
 from fiberdt.geometry import (
     FibrationSpec,
+    HodgeDiamond,
     curve_diamond,
     registry_lookup,
     surface_names,
@@ -25,7 +27,7 @@ from fiberdt.geometry import (
 )
 from fiberdt.oracles import colored_partitions_count, nested_colored_count
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries, series_product
-from series_reference import mul, scaled
+from series_reference import goettsche_hilbert, mul, scaled
 
 SURFACES = surface_names()
 
@@ -46,6 +48,20 @@ def test_hilbert_series_linear_term_is_surface_class():
     for name in SURFACES:
         S = surface(name)
         assert hilbert_hodge_series(S, 4).coefficients[1] == S.e_polynomial()
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_hilbert_series_matches_goettsche_plethystic_form(name):
+    S = surface(name)
+    assert hilbert_hodge_series(S, 16) == goettsche_hilbert(S.grid, 16)
+
+
+def test_hilbert_series_matches_goettsche_on_seeded_diamonds():
+    rng = random.Random(19)
+    for _ in range(12):
+        h10, h20, h11 = rng.randrange(4), rng.randrange(4), rng.randrange(1, 25)
+        S = HodgeDiamond([[1, h10, h20], [h10, h11, h10], [h20, h10, 1]])
+        assert hilbert_hodge_series(S, 12) == goettsche_hilbert(S.grid, 12), S
 
 
 def test_hilbert_euler_chi_three():
@@ -123,7 +139,7 @@ def test_hilbert_requires_surface():
     with pytest.raises(ValueError, match="surface"):
         hilbert_hodge_series(curve_diamond(1), 3)
     with pytest.raises(ValueError, match="surface"):
-        nested_hodge_series(registry_lookup("point"), 3)
+        nested_hodge_series(HodgeDiamond([[1]]), 3)
 
 
 # --- nested series -----------------------------------------------------------
@@ -276,21 +292,21 @@ def test_all_series_coefficients_symmetric():
 
 
 def _registry_series(name, q_max):
-    """(kind, surface, fibration, series) of every kind over the surface,
-    im1 at fiber genus 0, 1 and 2."""
+    """(kind, geometry, series) of every kind over the surface, im1 at fiber
+    genus 0, 1 and 2."""
     S = surface(name)
-    yield "hilb", S, None, hilbert_hodge_series(S, q_max)
-    yield "incidence", S, None, nested_hodge_series(S, q_max)
+    yield "hilb", S, hilbert_hodge_series(S, q_max)
+    yield "incidence", S, nested_hodge_series(S, q_max)
     for g in (0, 1, 2):
         fib = FibrationSpec.from_surface_name(name, g)
-        yield "im1", S, fib, ideal_sheaf_hodge_series(fib, q_max)
+        yield "im1", fib, ideal_sheaf_hodge_series(fib, q_max)
 
 
 @pytest.mark.parametrize("name", SURFACES)
 def test_verify_series_passes_on_every_registry_surface(name):
     for q_max in range(9):
-        for kind, S, fib, series in _registry_series(name, q_max):
-            verify_series(kind, S, fib, series)
+        for kind, geometry, series in _registry_series(name, q_max):
+            verify_series(kind, geometry, series)
 
 
 def _with_extra_term(series, m, i, j):
@@ -307,15 +323,33 @@ def _with_extra_term(series, m, i, j):
     ids=("s-only-term", "extra-st-term"),
 )
 def test_verify_series_rejects_a_wrong_coefficient(extra, message):
-    for kind, S, fib, series in _registry_series("k3", 4):
+    for kind, geometry, series in _registry_series("k3", 4):
         with pytest.raises(RuntimeError, match=message):
-            verify_series(kind, S, fib, _with_extra_term(series, 3, *extra))
+            verify_series(kind, geometry, _with_extra_term(series, 3, *extra))
 
 
 def test_verify_series_rejects_an_unknown_kind():
     S = surface("k3")
     with pytest.raises(ValueError, match="unknown series kind"):
-        verify_series("nested", S, None, hilbert_hodge_series(S, 2))
+        verify_series("nested", S, hilbert_hodge_series(S, 2))
+
+
+def test_verify_series_rejects_the_wrong_kind_of_geometry():
+    S, fib = surface("k3"), FibrationSpec.from_surface_name("k3", 1)
+    with pytest.raises(ValueError, match="a FibrationSpec"):
+        verify_series("im1", S, ideal_sheaf_hodge_series(fib, 2))
+    for kind, build in (("hilb", hilbert_hodge_series), ("incidence", nested_hodge_series)):
+        with pytest.raises(ValueError, match="a surface HodgeDiamond"):
+            verify_series(kind, fib, build(S, 2))
+
+
+@pytest.mark.parametrize(
+    "built_over, checked_over", (("k3", "p2"), ("p2", "k3"), ("abelian", "p1xp1"))
+)
+def test_verify_series_rejects_an_im1_series_of_another_base(built_over, checked_over):
+    series = ideal_sheaf_hodge_series(FibrationSpec.from_surface_name(built_over, 0), 5)
+    with pytest.raises(RuntimeError, match="direct integer series"):
+        verify_series("im1", FibrationSpec.from_surface_name(checked_over, 0), series)
 
 
 # --- Donaldson-Thomas --------------------------------------------------------
@@ -364,9 +398,14 @@ def test_dt_rejects_wrong_fiber_genus():
 
 
 def test_dt_rejects_nonzero_beta_k():
-    fib = FibrationSpec.from_surface_name("k3", 1, beta_dot_kx=1)
-    with pytest.raises(ValueError, match="beta.K"):
-        dt_invariant(fib, 0)
+    # beta.K_X = 2g - 2 is read off the fiber genus, so genus 1 is the only
+    # fibration with beta.K_X = 0 that the evaluation accepts.
+    for g in (0, 2, 3):
+        fib = FibrationSpec.from_surface_name("k3", g)
+        assert fib.beta_dot_kx != 0
+        with pytest.raises(ValueError, match=rf"beta\.K = 0\), got genus {g}"):
+            dt_invariant(fib, 0)
+    assert FibrationSpec.from_surface_name("k3", 1).beta_dot_kx == 0
 
 
 # --- direct integer routes ---------------------------------------------------

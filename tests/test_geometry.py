@@ -12,26 +12,36 @@ from fiberdt.geometry import (
 )
 from fiberdt.polyseries import BivariatePolynomial
 
-ALL_REGISTRY = ["point", "curve(0)", "curve(1)", "curve(2)", "curve(3)", "p2", "p1xp1", "k3", "abelian"]
+SURFACES = ("abelian", "k3", "p1xp1", "p2")
+POINT = HodgeDiamond([[1]])
+# Every diamond the package builds itself: the point, curves and the surfaces.
+ALL_DIAMONDS = [POINT, *map(curve_diamond, range(4)), *map(registry_lookup, SURFACES)]
 
 
 def test_registry_diamonds_validate():
-    # Construction runs the invariant checks, so lookup succeeding is the test.
-    for name in ALL_REGISTRY:
-        diamond = registry_lookup(name)
+    # Construction runs the invariant checks, so building them is the test.
+    for diamond in ALL_DIAMONDS:
         assert diamond.hodge(0, 0) == 1
 
 
+def test_registry_holds_exactly_the_four_surfaces():
+    assert surface_names() == SURFACES
+    for name in SURFACES:
+        assert registry_lookup(name).dim == 2
+
+
 def test_registry_unknown_name():
-    with pytest.raises(ValueError, match="unknown geometry"):
-        registry_lookup("bad")
+    for name in ("bad", "point", "curve(0)", "curve(1)", "P2", ""):
+        with pytest.raises(ValueError, match="unknown geometry"):
+            registry_lookup(name)
 
 
 def test_curve_diamonds():
-    c0 = registry_lookup("curve(0)")
-    assert c0.grid == ((1, 0), (0, 1))
+    assert curve_diamond(0).grid == ((1, 0), (0, 1))
     c2 = curve_diamond(2)
     assert c2.hodge(1, 0) == 2 and c2.hodge(0, 1) == 2
+    with pytest.raises(ValueError, match="nonnegative"):
+        curve_diamond(-1)
 
 
 def test_registry_values():
@@ -47,7 +57,7 @@ def test_e_polynomial_examples():
     assert registry_lookup("k3").e_polynomial() == BivariatePolynomial(
         {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1}
     )
-    assert registry_lookup("point").e_polynomial() == BivariatePolynomial({(0, 0): 1})
+    assert POINT.e_polynomial() == BivariatePolynomial({(0, 0): 1})
 
 
 def test_euler_numbers():
@@ -57,8 +67,7 @@ def test_euler_numbers():
 
 
 def test_euler_number_matches_direct_sum():
-    for name in ALL_REGISTRY:
-        diamond = registry_lookup(name)
+    for diamond in ALL_DIAMONDS:
         direct = sum(
             (-1) ** (i + j) * diamond.hodge(i, j)
             for i in range(diamond.dim + 1)
@@ -68,8 +77,8 @@ def test_euler_number_matches_direct_sum():
 
 
 def test_e_polynomial_symmetric():
-    for name in ALL_REGISTRY:
-        e = registry_lookup(name).e_polynomial()
+    for diamond in ALL_DIAMONDS:
+        e = diamond.e_polynomial()
         assert e.swap_variables() == e
 
 
@@ -97,9 +106,10 @@ def test_fibration_euler_factorizes():
 
 
 def test_fibration_requires_surface_base():
-    with pytest.raises(ValueError, match="surface"):
-        FibrationSpec(curve_diamond(1), 1)
-    with pytest.raises(ValueError, match="not a surface"):
+    for diamond in (POINT, curve_diamond(1)):
+        with pytest.raises(ValueError, match="must be a surface"):
+            FibrationSpec(diamond, 1)
+    with pytest.raises(ValueError, match="unknown geometry"):
         FibrationSpec.from_surface_name("point", 1)
 
 

@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -300,24 +301,30 @@ def arm_leg_character(parts, d_max):
     return weights
 
 
+def tangent_weights(solution):
+    """The torus weight of each basis map, as an exponent triple: entry
+    (g, b) sends generator g to basis monomial b, of weight basis[b] - gens[g]."""
+    basis, gens = solution.quotient.basis, solution.ideal.gens
+    weights = []
+    for images in solution.basis_maps:
+        triples = {
+            tuple(m - e for m, e in zip(basis[b], gens[g]))
+            for g, image in enumerate(images)
+            for b in image
+        }
+        assert len(triples) == 1, triples  # every kernel vector is weight-homogeneous
+        weights.append(triples.pop())
+    return weights
+
+
 @pytest.mark.parametrize("d", (0, 3))
 @pytest.mark.parametrize("parts", ((1,), (2, 1), (3, 1), (2, 2), (4, 3, 1), (5, 2, 2, 1)))
 def test_cylinder_arm_leg_character(parts, d):
     # The torus character of Hom(I, O/I) for a cylinder over a partition is
     # given by arms and legs (Nakajima, Lectures on Hilbert Schemes, Prop. 5.8),
-    # with no elimination involved.  Entry (g, b) has weight basis[b] - gens[g].
+    # with no elimination involved.
     solution = hom_dimension(MonomialIdeal(cylinder_generators(parts)), d)
-    basis, gens = solution.quotient.basis, solution.ideal.gens
-    character = Counter()
-    for images in solution.basis_maps:
-        weights = {
-            tuple(m - e for m, e in zip(basis[b], gens[g]))
-            for g, image in enumerate(images)
-            for b in image
-        }
-        assert len(weights) == 1, weights  # every basis map is weight-homogeneous
-        character.update(weights)
-    assert character == arm_leg_character(parts, d)
+    assert Counter(tangent_weights(solution)) == arm_leg_character(parts, d)
 
 
 def constraint_rows_by_ideal_test(ideal, quotient, window):
@@ -398,14 +405,15 @@ def outer_corners(pi):
     }
 
 
-def signed_macmahon(n_max):
-    """q^0..q^n_max of M(-q), with M(q) = prod_k (1 - q^k)^(-k) from
-    n a_n = sum_k sigma_2(k) a_(n-k)."""
+def macmahon_power(exponent, n_max):
+    """q^0..q^n_max of M(-q) ** exponent for a rational exponent, by the
+    exp-log recurrence n b_n = exponent * sum_k (-1)^k sigma_2(k) b_(n-k):
+    log M(-q) is the sum over k of sigma_2(k) (-q)^k / k."""
     sigma2 = [0] + [sum(d * d for d in range(1, k + 1) if k % d == 0) for k in range(1, n_max + 1)]
-    a = [1]
+    b = [Fraction(1)]
     for n in range(1, n_max + 1):
-        a.append(sum(sigma2[k] * a[n - k] for k in range(1, n + 1)) // n)
-    return [(-1) ** n * value for n, value in enumerate(a)]
+        b.append(exponent * sum((-1) ** k * sigma2[k] * b[n - k] for k in range(1, n + 1)) / n)
+    return b
 
 
 def test_hom_dimension_has_mnop_parity_and_sums_to_macmahon():
@@ -423,7 +431,31 @@ def test_hom_dimension_has_mnop_parity_and_sums_to_macmahon():
             assert dimension % 2 == n % 2, sorted(pi)
             total += (-1) ** dimension
         signed_sums.append(total)
-    assert signed_sums == signed_macmahon(8) == [1, -1, 3, -6, 13, -24, 48, -86, 160]
+    assert signed_sums == macmahon_power(1, 8) == [1, -1, 3, -6, 13, -24, 48, -86, 160]
+
+
+@pytest.mark.parametrize("s", ((1, 13, 169), (3, -20, 200)))
+def test_equivariant_vertex_sums_to_a_power_of_macmahon(s):
+    # MNOP's equivariant degree-0 vertex: the sum over plane partitions pi of
+    # q^|pi| times the product over the tangent weights w at I_pi of
+    # -(w + s1 + s2 + s3) / w is M(-q) ** (-(s1 + s2)(s1 + s3)(s2 + s3) / (s1 s2 s3)).
+    n_max = 6
+    s1, s2, s3 = s
+    sums = []
+    for partitions in plane_partitions(n_max):
+        total = Fraction(0)
+        for pi in partitions:
+            ideal = MonomialIdeal(tuple(sorted(outer_corners(pi))))
+            solution = hom_dimension(ideal, max((c for _, _, c in pi), default=0))
+            term = Fraction(1)
+            for triple in tangent_weights(solution):
+                w = sum(a * b for a, b in zip(triple, s))
+                assert w != 0, (sorted(pi), triple)
+                term *= Fraction(-(w + s1 + s2 + s3), w)
+            total += term
+        sums.append(total)
+    exponent = Fraction(-(s1 + s2) * (s1 + s3) * (s2 + s3), s1 * s2 * s3)
+    assert sums == macmahon_power(exponent, n_max)
 
 
 # --- tangent jump report ---------------------------------------------------------

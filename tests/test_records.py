@@ -3,7 +3,7 @@ hashing, repr and (for partitions) ordering."""
 
 import pytest
 
-from fiberdt.geometry import FibrationSpec, registry_lookup
+from fiberdt.geometry import FibrationSpec, HodgeDiamond, registry_lookup
 from fiberdt.localhom import (
     LINE_IDEAL,
     HomSolution,
@@ -44,16 +44,34 @@ def test_monomial_ideal_rejects(gens, message):
 def test_fibration_spec_construction_and_defaults():
     for spec in (FibrationSpec(K3, 1), FibrationSpec(base=K3, fiber_genus=1)):
         assert (spec.base, spec.fiber_genus) == (K3, 1)
-        assert spec.beta_dot_kx == 0
         assert spec.base_canonical_trivial is False
-    spec = FibrationSpec(K3, 2, beta_dot_kx=3, base_canonical_trivial=True)
-    assert (spec.fiber_genus, spec.beta_dot_kx, spec.base_canonical_trivial) == (2, 3, True)
-    assert FibrationSpec.from_surface_name("k3", 1) == FibrationSpec(K3, 1, 0, True)
+        assert spec._fields == ("base", "fiber_genus", "base_canonical_trivial")
+    spec = FibrationSpec(K3, 2, base_canonical_trivial=True)
+    assert (spec.fiber_genus, spec.base_canonical_trivial) == (2, True)
+    assert FibrationSpec.from_surface_name("k3", 1) == FibrationSpec(K3, 1, True)
+
+
+@pytest.mark.parametrize("genus", (0, 1, 2, 3))
+def test_fibration_spec_beta_dot_kx_is_read_off_the_fiber_genus(genus):
+    # Adjunction on a fiber, whose normal bundle is trivial: beta.K_X = 2g - 2.
+    assert FibrationSpec(K3, genus).beta_dot_kx == 2 * genus - 2
+    assert FibrationSpec.from_surface_name("abelian", genus).beta_dot_kx == 2 * genus - 2
+
+
+def test_fibration_spec_takes_no_beta():
+    with pytest.raises(TypeError):
+        FibrationSpec(K3, 1, 0, True)
+    with pytest.raises(TypeError):
+        FibrationSpec(K3, 1, beta_dot_kx=0)
+    with pytest.raises(TypeError):
+        FibrationSpec.from_surface_name("k3", 1, 0)
+    with pytest.raises(AttributeError):
+        FibrationSpec(K3, 1).beta_dot_kx = 0
 
 
 def test_fibration_spec_rejects():
     with pytest.raises(ValueError, match="must be a surface"):
-        FibrationSpec(registry_lookup("point"), 1)
+        FibrationSpec(HodgeDiamond([[1]]), 1)
     with pytest.raises(ValueError, match="nonnegative"):
         FibrationSpec(K3, -1)
 
@@ -93,7 +111,7 @@ def _records():
     return (
         MonomialIdeal(((1, 0, 0), (0, 1, 0))),
         TruncatedQuotient(LINE_IDEAL, 0, ((0, 0, 0),)),
-        FibrationSpec(K3, 1, 0, True),
+        FibrationSpec(K3, 1, True),
         Partition((2, 1)),
     )
 
@@ -128,7 +146,7 @@ def test_repr_keeps_the_dataclass_form():
         f"TruncatedQuotient(ideal={LINE_IDEAL!r}, d_max=0, basis=((0, 0, 0),))"
     )
     assert repr(FibrationSpec(K3, 1)) == (
-        f"FibrationSpec(base={K3!r}, fiber_genus=1, beta_dot_kx=0, base_canonical_trivial=False)"
+        f"FibrationSpec(base={K3!r}, fiber_genus=1, base_canonical_trivial=False)"
     )
     assert repr(Partition((2, 1))) == "Partition(parts=(2, 1))"
     solution = hom_dimension(LINE_IDEAL, 0)

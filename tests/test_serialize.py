@@ -280,7 +280,7 @@ def test_dump_series_document_equals_json_dumps(surface_name, kind, q_max):
     elif kind == "incidence":
         series = formulas.nested_hodge_series(surface, q_max)
     else:
-        series = formulas.ideal_sheaf_hodge_series(FibrationSpec(surface, genus, 0, False), q_max)
+        series = formulas.ideal_sheaf_hodge_series(FibrationSpec(surface, genus), q_max)
     keywords = dict(kind=kind, surface_doc=surface.to_json(), surface_name=surface_name, genus=genus)
     text = serialize.series_to_json(series, **keywords)
     assert text == json.dumps(reference_document(series, **keywords), sort_keys=True, indent=2) + "\n"

@@ -74,6 +74,31 @@ def test_series_imports_no_localhom_modules(tmp_path):
         assert "csv" not in modules  # the CSV writers format their rows themselves
 
 
+def package_modules(modules) -> set[str]:
+    """The fiberdt submodules in ``modules``, without the package prefix;
+    runpy runs fiberdt/__main__.py as the module __main__."""
+    return {m.split(".", 1)[1] for m in modules if m.startswith("fiberdt.")} - {"__main__"}
+
+
+# The README's table of the package modules each subcommand imports.
+@pytest.mark.parametrize(
+    "argv, expected",
+    (
+        (("dt", "--surface", "k3", "--mmax", "2"), {"cli", "geometry", "polyseries", "formulas"}),
+        (("oracle", "colored", "--chi", "2", "--m", "3"), {"cli", "oracles"}),
+        (
+            ("oracle", "colored", "--chi", "2", "--m", "3", "--check"),
+            {"cli", "oracles", "geometry", "polyseries", "formulas"},
+        ),
+    ),
+    ids=("dt", "oracle", "oracle-check"),
+)
+def test_subcommand_imports_match_the_readme_table(tmp_path, argv, expected):
+    modules = loaded_modules(tmp_path, *argv)
+    assert package_modules(modules) == expected
+    assert "dataclasses" not in modules
+
+
 def test_help_imports_only_the_cli(tmp_path):
     modules = loaded_modules(tmp_path, "--help")
     # runpy runs fiberdt/__main__.py as the module __main__.
