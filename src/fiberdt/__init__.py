@@ -47,7 +47,6 @@ _SOURCES = {
         "LINE_WITH_EMBEDDED_POINT_IDEAL",
         "MonomialIdeal",
         "POINT_IDEAL",
-        "TruncatedQuotient",
         "hom_dimension",
         "standard_monomials",
         "syzygy_pairs",

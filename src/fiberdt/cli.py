@@ -28,7 +28,7 @@ __all__ = ["main", "build_parser", "Q_MAX_CAP", "D_MAX_CAP", "HODGE_CAP", "INPUT
 # surface at full truncation order, `series hilb --surface abelian --qmax 50`,
 # about 1.5 s), and a diamond with every entry at HODGE_CAP takes about
 # 30-35 s at q_max = 50 (`hilb` at q_max = 30: about 2.2 s).  D_MAX_CAP bounds
-# the deepest constraint window.
+# the w3 truncation degree of a Hom computation.
 Q_MAX_CAP = 50
 D_MAX_CAP = 12
 # Bounds every h^{i,j} of a series surface and the fiber genus (h^{0,1} of the
@@ -171,9 +171,10 @@ def _load_json_file(name: str):
         raise ValueError(f"{name}: larger than the input file cap of {INPUT_FILE_CAP} bytes")
     try:
         return json.loads(data.decode())
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         # json.loads recurses once per nesting level, so a deeply nested
-        # file raises RecursionError.
+        # file raises RecursionError.  The bytes are decoded as UTF-8 here,
+        # not by json.loads, which would also accept UTF-16 and UTF-32.
         raise ValueError(f"{name}: not valid JSON ({exc})") from None
 
 
@@ -380,7 +381,7 @@ def _cmd_localhom(args) -> None:
             "dimension": solution.dimension,
             "rank": solution.rank,
             "n_unknowns": solution.n_unknowns,
-            "quotient_basis_size": len(solution.quotient.basis),
+            "quotient_basis_size": len(solution.basis),
         }
         if args.format == "json":
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -8,11 +8,13 @@ the pairwise lcm relations generate all first syzygies, so the solution
 space of that linear system is exactly the Hom space.
 
 The quotient ring is infinite along w3 for the ideals of interest, so the
-unknown images are truncated at a w3-degree ``d_max`` while the constraints
-are evaluated in a window extended by a guard band (the largest w3-degree of
-any lcm cofactor).  The guard band ensures no constraint involving a product
-that leaves the unknown window is silently dropped, which would otherwise
-inflate the dimension at the top degree.
+unknown images are truncated at a w3-degree ``d_max``; the constraints are
+not.  A product of a truncated basis monomial with a syzygy cofactor has
+w3-degree at most ``d_max + guard``, ``guard`` being the spread of the
+generators' w3 exponents, and outside the pure-power box in w1 and w2 it lies
+in the ideal.  So each product is either zero in the quotient or a standard
+monomial, and one of w3-degree above ``d_max`` still yields its constraint;
+dropping it would inflate the dimension at the top degree.
 
 The two built-in ideals model a smooth curve locally cut out by (w1, w2) and
 the same curve carrying an embedded doubled point, cut out by
@@ -33,7 +35,6 @@ from . import linalg
 
 __all__ = [
     "MonomialIdeal",
-    "TruncatedQuotient",
     "HomSolution",
     "standard_monomials",
     "syzygy_pairs",
@@ -48,7 +49,7 @@ __all__ = [
 
 Monomial = tuple[int, int, int]
 
-# Bound on generators x (w1 box) x (w2 box) x (guard window depth) for one
+# Bound on generators x (w1 box) x (w2 box) x (d_max + guard + 1) for one
 # Hom computation; it is checked from the exponents before anything is
 # enumerated.  The largest benchmark ideal, the (4,3,1) cylinder at
 # d_max = 12, needs 624.
@@ -87,9 +88,9 @@ class MonomialIdeal(namedtuple("MonomialIdeal", ("gens",))):
                 not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in g
             ):
                 raise ValueError(f"generator {g!r} is not a triple of nonnegative integers")
-        for a in gens:
-            for b in gens:
-                if a is not b and _divides(a, b):
+        for i, a in enumerate(gens):
+            for j, b in enumerate(gens):
+                if i != j and _divides(a, b):
                     raise ValueError(
                         f"generator {_monomial_str(a)} divides {_monomial_str(b)}: "
                         "generators must be minimal"
@@ -122,17 +123,6 @@ LINE_WITH_EMBEDDED_POINT_IDEAL = MonomialIdeal(
 POINT_IDEAL = MonomialIdeal(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
-class TruncatedQuotient(namedtuple("TruncatedQuotient", ("ideal", "d_max", "basis"))):
-    """Basis of the quotient ring by a monomial ideal, truncated in w3.
-
-    ``basis`` is the tuple of standard monomials (those divisible by no
-    generator) whose w3-exponent is at most ``d_max``, in a fixed graded
-    order.
-    """
-
-    __slots__ = ()
-
-
 def _pure_powers(ideal: MonomialIdeal) -> tuple[int, int]:
     """The smallest pure powers of w1 and w2 among the generators."""
     pure1 = [g[0] for g in ideal.gens if g[1] == 0 and g[2] == 0]
@@ -144,8 +134,9 @@ def _pure_powers(ideal: MonomialIdeal) -> tuple[int, int]:
     return min(pure1), min(pure2)
 
 
-def standard_monomials(ideal: MonomialIdeal, d_max: int) -> TruncatedQuotient:
-    """All standard monomials with w3-exponent at most ``d_max``.
+def standard_monomials(ideal: MonomialIdeal, d_max: int) -> tuple[Monomial, ...]:
+    """All standard monomials (divisible by no generator) with w3-exponent at
+    most ``d_max``, in a fixed graded order.
 
     The complement must be bounded in the w1 and w2 directions, which for a
     monomial ideal means a pure power of each of w1 and w2 appears among the
@@ -165,7 +156,7 @@ def standard_monomials(ideal: MonomialIdeal, d_max: int) -> TruncatedQuotient:
                 mono = (x, y, z)
                 if not ideal.contains_monomial(mono):
                     basis.append(mono)
-    return TruncatedQuotient(ideal, d_max, tuple(basis))
+    return tuple(basis)
 
 
 def syzygy_pairs(ideal: MonomialIdeal) -> list[tuple[tuple[int, int], Monomial]]:
@@ -185,37 +176,43 @@ def syzygy_pairs(ideal: MonomialIdeal) -> list[tuple[tuple[int, int], Monomial]]
     return pairs
 
 
-class HomSolution(
-    namedtuple(
-        "HomSolution",
-        ("ideal", "d_max", "quotient", "dimension", "rank", "n_unknowns", "basis_maps"),
-    )
-):
+class HomSolution(namedtuple("HomSolution", ("ideal", "d_max", "basis", "basis_maps"))):
     """Solution of a truncated Hom computation.
 
+    ``basis`` is the quotient basis, :func:`standard_monomials` at ``d_max``.
     ``basis_maps[v][g]`` is the image of generator g under the v-th basis
-    homomorphism, as a sparse ``{index into quotient.basis: nonzero int}`` map.
+    homomorphism, as a sparse ``{index into basis: nonzero int}`` map.  The
+    counts are read off these: the dimension is the number of basis maps,
+    the unknowns are one per generator and basis monomial, and the rank is
+    the unknowns less the dimension.
     """
 
     __slots__ = ()
 
+    @property
+    def dimension(self) -> int:
+        return len(self.basis_maps)
 
-def _constraint_rows(
-    ideal: MonomialIdeal, quotient: TruncatedQuotient, window: TruncatedQuotient
-) -> list[dict[int, int]]:
+    @property
+    def n_unknowns(self) -> int:
+        return len(self.ideal.gens) * len(self.basis)
+
+    @property
+    def rank(self) -> int:
+        return self.n_unknowns - self.dimension
+
+
+def _constraint_rows(ideal: MonomialIdeal, basis: tuple[Monomial, ...]) -> list[dict[int, int]]:
     """Sparse constraint rows over the unknowns (gen index, basis index).
 
-    One row per (generator pair, extended-window monomial); an unknown of the
-    pair's first generator that lands on that monomial has entry 1, one of the
-    second has entry -1.  Multiplying by a cofactor is injective, so no
-    unknown lands twice and no entry cancels.
-    Every surviving product monomial must fall inside the guard window, or
-    the computation would silently lose a constraint.
+    One row per (generator pair, standard product monomial); an unknown of
+    the pair's first generator that lands on that monomial has entry 1, one
+    of the second has entry -1.  A product in the ideal is zero and yields no
+    entry.  Multiplying by a cofactor is injective, so no unknown lands twice
+    and no entry cancels.
     """
     gens = ideal.gens
-    basis = quotient.basis
     n_basis = len(basis)
-    window_set = set(window.basis)
     rows: list[dict[int, int]] = []
     for (gi, gj), lcm in syzygy_pairs(ideal):
         contributions: dict[Monomial, dict[int, int]] = {}
@@ -223,15 +220,8 @@ def _constraint_rows(
             mult = tuple(l - e for l, e in zip(lcm, gens[g]))
             for b, mono in enumerate(basis):
                 prod = (mono[0] + mult[0], mono[1] + mult[1], mono[2] + mult[2])
-                if prod not in window_set:
-                    # Window monomials are standard, so only an outside
-                    # product needs the ideal test: in the ideal it is zero.
-                    if ideal.contains_monomial(prod):
-                        continue
-                    raise RuntimeError(
-                        f"constraint monomial {_monomial_str(prod)} escapes the guard window"
-                    )
-                contributions.setdefault(prod, {})[g * n_basis + b] = sign
+                if not ideal.contains_monomial(prod):
+                    contributions.setdefault(prod, {})[g * n_basis + b] = sign
         rows.extend(contributions[prod] for prod in sorted(contributions))
     return rows
 
@@ -240,13 +230,12 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
     """Dimension and basis of Hom(I, quotient by I), truncated at ``d_max``.
 
     Unknowns are the coefficients of the generator images over the truncated
-    quotient basis; constraints come from every syzygy pair, evaluated with
-    the guard band described in the module docstring.  Each kernel vector
-    is the 0/1 indicator of a connected component of the equalities that
-    holds no zeroed unknown; the rank is the number of unknowns less their
-    count.  Ideals whose size (generators x w1 box x w2 box x guard window
-    depth) exceeds :data:`SIZE_CAP` are rejected with a ValueError before
-    any enumeration.
+    quotient basis; constraints come from every syzygy pair, untruncated as
+    described in the module docstring.  Each kernel vector is the 0/1
+    indicator of a connected component of the equalities that holds no
+    zeroed unknown.  Ideals whose size (generators x w1 box x w2 box x
+    (d_max + guard + 1)) exceeds :data:`SIZE_CAP` are rejected with a
+    ValueError before any enumeration.
     """
     gens = ideal.gens
     # The largest w3 cofactor exponent of any generator pair.
@@ -255,36 +244,25 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
     size = len(gens) * bound1 * bound2 * (d_max + guard + 1)
     if size > SIZE_CAP:
         raise ValueError(f"ideal size {size} at d_max {d_max} exceeds the cap {SIZE_CAP}")
-    quotient = standard_monomials(ideal, d_max)
-    n_basis = len(quotient.basis)
-    n_unknowns = len(gens) * n_basis
-    window = standard_monomials(ideal, d_max + guard)
-    rows = _constraint_rows(ideal, quotient, window)
-    null_basis = linalg.nullspace(rows, n_unknowns)
+    basis = standard_monomials(ideal, d_max)
+    n_basis = len(basis)
+    null_basis = linalg.nullspace(_constraint_rows(ideal, basis), len(gens) * n_basis)
     basis_maps = tuple(tuple({} for _ in gens) for _ in null_basis)
     for images, vec in zip(basis_maps, null_basis):
         for unknown, c in vec.items():
             g, b = divmod(unknown, n_basis)
             images[g][b] = c
-    solution = HomSolution(
-        ideal=ideal,
-        d_max=d_max,
-        quotient=quotient,
-        dimension=len(null_basis),
-        rank=n_unknowns - len(null_basis),
-        n_unknowns=n_unknowns,
-        basis_maps=basis_maps,
-    )
+    solution = HomSolution(ideal, d_max, basis, basis_maps)
     if not verify_hom_solution(solution):
         raise RuntimeError("solved basis map fails a syzygy constraint on re-substitution")
     return solution
 
 
-def _apply_map(ideal: MonomialIdeal, quotient: TruncatedQuotient, images, gen: int, mult: Monomial):
+def _apply_map(ideal: MonomialIdeal, basis: tuple[Monomial, ...], images, gen: int, mult: Monomial):
     """Multiply the image of one generator by a cofactor, in the quotient."""
     out: dict[Monomial, int] = {}
     for b, c in images[gen].items():
-        mono = quotient.basis[b]
+        mono = basis[b]
         prod = (mono[0] + mult[0], mono[1] + mult[1], mono[2] + mult[2])
         if not ideal.contains_monomial(prod):
             out[prod] = c  # multiplying by a monomial is injective: no collisions
@@ -296,7 +274,7 @@ def verify_hom_solution(solution: HomSolution) -> bool:
 
     Returns True when all constraints hold exactly.
     """
-    ideal, quotient = solution.ideal, solution.quotient
+    ideal, basis = solution.ideal, solution.basis
     # Both cofactors of every syzygy pair, computed once for all basis maps.
     sides = [
         [(g, tuple(l - e for l, e in zip(lcm, ideal.gens[g]))) for g in pair]
@@ -304,8 +282,8 @@ def verify_hom_solution(solution: HomSolution) -> bool:
     ]
     for images in solution.basis_maps:
         for (gi, mult_i), (gj, mult_j) in sides:
-            lhs = _apply_map(ideal, quotient, images, gi, mult_i)
-            if lhs != _apply_map(ideal, quotient, images, gj, mult_j):
+            lhs = _apply_map(ideal, basis, images, gi, mult_i)
+            if lhs != _apply_map(ideal, basis, images, gj, mult_j):
                 return False
     return True
 
@@ -318,7 +296,7 @@ def tangent_jump_report(d_values) -> dict:
     fixed-truncation gap (8) and the series-index offset (2, one slot for
     each of the two free w3-series families) whose sum is the untruncated
     tangent-space jump of 10.  The offset is reported, not re-derived: the
-    window only ever sees finitely many series coefficients.
+    truncation only ever sees finitely many series coefficients.
     """
     d_values = list(d_values)
     if not d_values:

@@ -676,6 +676,26 @@ def test_hostile_input_files_are_validation_errors(tmp_path, capsys, command, co
     assert message in err
 
 
+@pytest.mark.parametrize("flag", ("--ideal-file", "--surface"))
+@pytest.mark.parametrize(
+    "content",
+    (
+        pytest.param(b"\xff[[1, 0, 0], [0, 1, 0]]", id="invalid-utf8"),
+        pytest.param("[[1, 0, 0], [0, 1, 0]]".encode("utf-16"), id="utf16"),
+    ),
+)
+def test_input_files_that_are_not_utf8_name_the_file(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    if flag == "--ideal-file":
+        argv = ("localhom", "--dmax", "2", "--ideal-file", str(path))
+    else:
+        argv = ("series", "hilb", "--surface", str(path), "--qmax", "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{path}: not valid JSON (" in err
+
+
 def test_localhom_rejects_oversized_ideals_quickly(tmp_path, capsys):
     # Each of these would enumerate or allocate for minutes without the size cap.
     for name, gens, d_max in (

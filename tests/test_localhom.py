@@ -52,13 +52,12 @@ def test_ideal_json_round_trip():
 
 
 def test_standard_monomials_line():
-    quotient = standard_monomials(LINE_IDEAL, 3)
-    assert quotient.basis == ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3))
+    assert standard_monomials(LINE_IDEAL, 3) == ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3))
 
 
 def test_standard_monomials_embedded_point():
-    quotient = standard_monomials(LINE_WITH_EMBEDDED_POINT_IDEAL, 3)
-    assert set(quotient.basis) == {
+    basis = standard_monomials(LINE_WITH_EMBEDDED_POINT_IDEAL, 3)
+    assert set(basis) == {
         (0, 0, 0),
         (1, 0, 0),
         (0, 1, 0),
@@ -66,12 +65,12 @@ def test_standard_monomials_embedded_point():
         (0, 0, 2),
         (0, 0, 3),
     }
-    assert len(quotient.basis) == 6
+    assert len(basis) == 6
 
 
 def test_standard_monomials_point():
     for d in (0, 2, 5):
-        assert standard_monomials(POINT_IDEAL, d).basis == ((0, 0, 0),)
+        assert standard_monomials(POINT_IDEAL, d) == ((0, 0, 0),)
 
 
 def test_standard_monomials_complete_and_duplicate_free():
@@ -79,7 +78,7 @@ def test_standard_monomials_complete_and_duplicate_free():
     # generator exponent.
     for ideal in (LINE_IDEAL, LINE_WITH_EMBEDDED_POINT_IDEAL, POINT_IDEAL):
         for d in (0, 2, 4):
-            basis = standard_monomials(ideal, d).basis
+            basis = standard_monomials(ideal, d)
             assert len(basis) == len(set(basis))
             expected = {
                 (x, y, z)
@@ -164,7 +163,7 @@ def test_hom_dimension_eliminates_once(monkeypatch):
 def test_basis_maps_verify_and_are_independent():
     solution = hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 2)
     assert verify_hom_solution(solution)
-    n_basis = len(solution.quotient.basis)
+    n_basis = len(solution.basis)
     flat = [
         {g * n_basis + b: c for g, image in enumerate(images) for b, c in image.items()}
         for images in solution.basis_maps
@@ -175,10 +174,8 @@ def test_basis_maps_verify_and_are_independent():
 def constraint_system(ideal, d_max):
     """The constraint rows of ``hom_dimension(ideal, d_max)`` and the number
     of unknowns."""
-    guard = max(g[2] for g in ideal.gens) - min(g[2] for g in ideal.gens)
-    quotient = standard_monomials(ideal, d_max)
-    rows = _constraint_rows(ideal, quotient, standard_monomials(ideal, d_max + guard))
-    return rows, len(ideal.gens) * len(quotient.basis)
+    basis = standard_monomials(ideal, d_max)
+    return _constraint_rows(ideal, basis), len(ideal.gens) * len(basis)
 
 
 def random_ideals(seed, count):
@@ -205,9 +202,8 @@ def test_rank_matches_the_reference_elimination():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_rank_matches_the_reference_elimination_on_benchmark_ideals(monkeypatch):
-    if not (PERFBENCH / "workloads.py").is_file():
-        pytest.skip("perfbench/ is not part of this tree")
+def benchmark_systems(monkeypatch):
+    """(ideal, d_max) of every system the localhom benchmark solves."""
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)
@@ -219,6 +215,13 @@ def test_rank_matches_the_reference_elimination_on_benchmark_ideals(monkeypatch)
             systems.append((MonomialIdeal.from_json(request.spec["ideal"]), d))
         else:
             systems += [(LINE_IDEAL, d), (LINE_WITH_EMBEDDED_POINT_IDEAL, d)]
+    return systems
+
+
+def test_rank_matches_the_reference_elimination_on_benchmark_ideals(monkeypatch):
+    if not (PERFBENCH / "workloads.py").is_file():
+        pytest.skip("perfbench/ is not part of this tree")
+    systems = benchmark_systems(monkeypatch)
     assert len(systems) > 20
     for ideal, d in systems:
         rows, n_unknowns = constraint_system(ideal, d)
@@ -232,7 +235,7 @@ def test_embedded_point_solution_shape():
     # generator images.
     solution = hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 1)
     assert solution.dimension == 12
-    basis = solution.quotient.basis
+    basis = solution.basis
     const_idx = basis.index((0, 0, 0))
     w3_idx = basis.index((0, 0, 1))
     for images in solution.basis_maps:
@@ -304,7 +307,7 @@ def arm_leg_character(parts, d_max):
 def tangent_weights(solution):
     """The torus weight of each basis map, as an exponent triple: entry
     (g, b) sends generator g to basis monomial b, of weight basis[b] - gens[g]."""
-    basis, gens = solution.quotient.basis, solution.ideal.gens
+    basis, gens = solution.basis, solution.ideal.gens
     weights = []
     for images in solution.basis_maps:
         triples = {
@@ -327,46 +330,35 @@ def test_cylinder_arm_leg_character(parts, d):
     assert Counter(tangent_weights(solution)) == arm_leg_character(parts, d)
 
 
-def constraint_rows_by_ideal_test(ideal, quotient, window):
-    """The rows built by the rule that asks the ideal first: a product in the
-    ideal is skipped, any other must lie in the window."""
-    n_basis = len(quotient.basis)
-    window_set = set(window.basis)
-    rows = []
-    for (gi, gj), lcm in syzygy_pairs(ideal):
-        contributions = {}
-        for g, sign in ((gi, 1), (gj, -1)):
-            mult = tuple(l - e for l, e in zip(lcm, ideal.gens[g]))
-            for b, mono in enumerate(quotient.basis):
-                prod = tuple(x + y for x, y in zip(mono, mult))
-                if ideal.contains_monomial(prod):
-                    continue
-                assert prod in window_set
-                contributions.setdefault(prod, {})[g * n_basis + b] = sign
-        rows.extend(contributions[prod] for prod in sorted(contributions))
-    return rows
-
-
-@pytest.mark.parametrize(
-    "ideal",
-    (
+def test_every_constraint_product_is_zero_or_standard(monkeypatch):
+    # Why the constraints need no window: a truncated basis monomial times a
+    # syzygy cofactor is in the ideal, or a standard monomial of w3-degree at
+    # most d_max + guard inside the pure-power box in w1 and w2.
+    built_in = (
         LINE_IDEAL,
         LINE_WITH_EMBEDDED_POINT_IDEAL,
         POINT_IDEAL,
         MonomialIdeal(cylinder_generators((4, 3, 1))),
         MonomialIdeal(cylinder_generators((5, 2, 2, 1))),
-    ),
-)
-def test_constraint_rows_match_ideal_first_rule(ideal):
-    # The window holds standard monomials only, so testing window membership
-    # first and the ideal only outside it builds the same rows.
-    guard = max(g[2] for g in ideal.gens) - min(g[2] for g in ideal.gens)
-    for d in (0, 4):
-        quotient = standard_monomials(ideal, d)
-        window = standard_monomials(ideal, d + guard)
-        assert _constraint_rows(ideal, quotient, window) == constraint_rows_by_ideal_test(
-            ideal, quotient, window
-        )
+    )
+    systems = list(random_ideals(seed=20, count=60))
+    systems += [(ideal, d) for ideal in built_in for d in (0, 4)]
+    if (PERFBENCH / "workloads.py").is_file():
+        systems += benchmark_systems(monkeypatch)
+    for ideal, d in systems:
+        gens = ideal.gens
+        guard = max(g[2] for g in gens) - min(g[2] for g in gens)
+        bound1 = min(g[0] for g in gens if g[1] == g[2] == 0)
+        bound2 = min(g[1] for g in gens if g[0] == g[2] == 0)
+        basis = standard_monomials(ideal, d)
+        for (gi, gj), lcm in syzygy_pairs(ideal):
+            for g in (gi, gj):
+                mult = tuple(l - e for l, e in zip(lcm, gens[g]))
+                for mono in basis:
+                    prod = tuple(x + y for x, y in zip(mono, mult))
+                    if not ideal.contains_monomial(prod):
+                        assert prod[0] < bound1 and prod[1] < bound2, (ideal, d, prod)
+                        assert prod[2] <= d + guard, (ideal, d, prod)
 
 
 def test_size_cap_rejects_before_enumerating():

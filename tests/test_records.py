@@ -6,9 +6,9 @@ import pytest
 from fiberdt.geometry import FibrationSpec, HodgeDiamond, registry_lookup
 from fiberdt.localhom import (
     LINE_IDEAL,
+    LINE_WITH_EMBEDDED_POINT_IDEAL,
     HomSolution,
     MonomialIdeal,
-    TruncatedQuotient,
     hom_dimension,
     standard_monomials,
 )
@@ -34,6 +34,8 @@ def test_monomial_ideal_construction_and_default():
         (((1, 0, -1),), "not a triple"),
         (((True, 0, 0),), "not a triple"),
         (((1, 0, 0), (2, 0, 0)), "divides"),
+        # Equal tuple literals are one object: minimality compares by position.
+        (((1, 0, 0), (1, 0, 0), (0, 1, 0)), "divides"),
     ),
 )
 def test_monomial_ideal_rejects(gens, message):
@@ -94,23 +96,29 @@ def test_partition_order_is_unchanged():
     assert Partition((2, 1)) < Partition((2, 2)) < Partition((3,))
 
 
-def test_truncated_quotient_and_hom_solution_fields():
-    quotient = standard_monomials(LINE_IDEAL, 2)
-    assert quotient == TruncatedQuotient(LINE_IDEAL, 2, ((0, 0, 0), (0, 0, 1), (0, 0, 2)))
-    assert quotient == TruncatedQuotient(ideal=LINE_IDEAL, d_max=2, basis=quotient.basis)
+def test_hom_solution_fields():
+    assert HomSolution._fields == ("ideal", "d_max", "basis", "basis_maps")
+    basis = standard_monomials(LINE_IDEAL, 2)
+    assert basis == ((0, 0, 0), (0, 0, 1), (0, 0, 2))
     solution = hom_dimension(LINE_IDEAL, 2)
-    fields = dict(
-        ideal=LINE_IDEAL, d_max=2, quotient=quotient, dimension=6, rank=solution.rank,
-        n_unknowns=6, basis_maps=solution.basis_maps,
-    )
+    fields = dict(ideal=LINE_IDEAL, d_max=2, basis=basis, basis_maps=solution.basis_maps)
     assert HomSolution(**fields) == solution
     assert HomSolution(*fields.values()) == solution
+
+
+@pytest.mark.parametrize("ideal, d_max", ((LINE_IDEAL, 2), (LINE_WITH_EMBEDDED_POINT_IDEAL, 3)))
+def test_hom_solution_counts_are_read_off_the_basis_maps(ideal, d_max):
+    solution = hom_dimension(ideal, d_max)
+    assert solution.dimension == len(solution.basis_maps)
+    assert solution.n_unknowns == len(ideal.gens) * len(solution.basis)
+    assert solution.rank == solution.n_unknowns - solution.dimension
 
 
 def _records():
     return (
         MonomialIdeal(((1, 0, 0), (0, 1, 0))),
-        TruncatedQuotient(LINE_IDEAL, 0, ((0, 0, 0),)),
+        # No basis maps, so that the record hashes: an image is a dict.
+        HomSolution(LINE_IDEAL, 0, ((0, 0, 0),), ()),
         FibrationSpec(K3, 1, True),
         Partition((2, 1)),
     )
@@ -127,8 +135,9 @@ def test_records_are_frozen(index, field):
 
 def test_hom_solution_is_frozen():
     solution = hom_dimension(LINE_IDEAL, 1)
-    with pytest.raises(AttributeError):
-        solution.dimension = 0
+    for count in ("dimension", "rank", "n_unknowns"):
+        with pytest.raises(AttributeError):
+            setattr(solution, count, 0)
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -142,13 +151,12 @@ def test_repr_keeps_the_dataclass_form():
     assert repr(MonomialIdeal(((1, 0, 0), (0, 1, 0)))) == (
         "MonomialIdeal(gens=((1, 0, 0), (0, 1, 0)))"
     )
-    assert repr(TruncatedQuotient(LINE_IDEAL, 0, ((0, 0, 0),))) == (
-        f"TruncatedQuotient(ideal={LINE_IDEAL!r}, d_max=0, basis=((0, 0, 0),))"
-    )
     assert repr(FibrationSpec(K3, 1)) == (
         f"FibrationSpec(base={K3!r}, fiber_genus=1, base_canonical_trivial=False)"
     )
     assert repr(Partition((2, 1))) == "Partition(parts=(2, 1))"
     solution = hom_dimension(LINE_IDEAL, 0)
-    assert repr(solution).startswith(f"HomSolution(ideal={LINE_IDEAL!r}, d_max=0, quotient=")
-    assert repr(solution).endswith(f"basis_maps={solution.basis_maps!r})")
+    assert repr(solution) == (
+        f"HomSolution(ideal={LINE_IDEAL!r}, d_max=0, basis=((0, 0, 0),), "
+        f"basis_maps={solution.basis_maps!r})"
+    )
