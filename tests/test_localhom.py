@@ -361,6 +361,47 @@ def test_every_constraint_product_is_zero_or_standard(monkeypatch):
                         assert prod[2] <= d + guard, (ideal, d, prod)
 
 
+def constraint_rows_by_window(ideal, basis, window):
+    """The rows built by the rule that asks the window first: a product in
+    the window of standard monomials up to w3-degree d_max + guard gets an
+    entry, any other must be in the ideal and is skipped."""
+    n_basis = len(basis)
+    window_set = set(window)
+    rows = []
+    for (gi, gj), lcm in syzygy_pairs(ideal):
+        contributions = {}
+        for g, sign in ((gi, 1), (gj, -1)):
+            mult = tuple(l - e for l, e in zip(lcm, ideal.gens[g]))
+            for b, mono in enumerate(basis):
+                prod = tuple(x + y for x, y in zip(mono, mult))
+                if prod not in window_set:
+                    assert ideal.contains_monomial(prod), (ideal, prod)
+                    continue
+                contributions.setdefault(prod, {})[g * n_basis + b] = sign
+        rows.extend(contributions[prod] for prod in sorted(contributions))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    (
+        LINE_IDEAL,
+        LINE_WITH_EMBEDDED_POINT_IDEAL,
+        POINT_IDEAL,
+        MonomialIdeal(cylinder_generators((4, 3, 1))),
+        MonomialIdeal(cylinder_generators((5, 2, 2, 1))),
+    ),
+)
+def test_constraint_rows_match_ideal_first_rule(ideal):
+    # The rows _constraint_rows builds by asking the ideal first equal the
+    # rows of the former rule, which asked the guard window first.
+    guard = max(g[2] for g in ideal.gens) - min(g[2] for g in ideal.gens)
+    for d in (0, 4):
+        basis = standard_monomials(ideal, d)
+        window = standard_monomials(ideal, d + guard)
+        assert _constraint_rows(ideal, basis) == constraint_rows_by_window(ideal, basis, window)
+
+
 def test_size_cap_rejects_before_enumerating():
     # generators x w1 box x w2 box x (d_max + guard + 1)
     wide = MonomialIdeal(((12, 0, 0), (0, 12, 0)))
