@@ -22,9 +22,10 @@ the same curve carrying an embedded doubled point, cut out by
 2 d_max + 2 and 10 + 2 d_max, a gap of 8 at fixed truncation; matching the
 two free w3-series families index by index shifts the untruncated gap to 10.
 Multiplying by a cofactor is injective, so every constraint row either sets
-one unknown to zero or equates two unknowns.  The kernel is read off the
-connected components of that equality graph (``linalg.nullspace``), and the
-kernel vectors and basis maps stay sparse: only nonzero entries are stored.
+one unknown to zero, ``(u,)``, or equates two, ``(u, v)``.  Each component of
+that equality graph with no zeroed unknown is one basis map
+(``linalg.nullspace``): it sends each generator to the sum of the basis
+monomials of its unknowns in the component.
 """
 
 from __future__ import annotations
@@ -181,10 +182,11 @@ class HomSolution(namedtuple("HomSolution", ("ideal", "d_max", "basis", "basis_m
 
     ``basis`` is the quotient basis, :func:`standard_monomials` at ``d_max``.
     ``basis_maps[v][g]`` is the image of generator g under the v-th basis
-    homomorphism, as a sparse ``{index into basis: nonzero int}`` map.  The
-    counts are read off these: the dimension is the number of basis maps,
-    the unknowns are one per generator and basis monomial, and the rank is
-    the unknowns less the dimension.
+    homomorphism, the sum of the monomials at a sorted tuple of indices into
+    ``basis`` (every kernel vector is a 0/1 indicator); so the record is
+    frozen and hashable.  The counts are read off the maps: the dimension is
+    their number, the unknowns are one per generator and basis monomial, and
+    the rank is the unknowns less the dimension.
     """
 
     __slots__ = ()
@@ -202,27 +204,29 @@ class HomSolution(namedtuple("HomSolution", ("ideal", "d_max", "basis", "basis_m
         return self.n_unknowns - self.dimension
 
 
-def _constraint_rows(ideal: MonomialIdeal, basis: tuple[Monomial, ...]) -> list[dict[int, int]]:
-    """Sparse constraint rows over the unknowns (gen index, basis index).
+def _constraint_rows(ideal: MonomialIdeal, basis: tuple[Monomial, ...]) -> list[tuple[int, ...]]:
+    """Constraint rows over the unknowns (gen index, basis index), numbered
+    ``gen * len(basis) + basis index``.
 
-    One row per (generator pair, standard product monomial); an unknown of
-    the pair's first generator that lands on that monomial has entry 1, one
-    of the second has entry -1.  A product in the ideal is zero and yields no
-    entry.  Multiplying by a cofactor is injective, so no unknown lands twice
-    and no entry cancels.
+    One row per (generator pair, standard product monomial): ``(u, v)`` when
+    an unknown u of the pair's first generator and an unknown v of the
+    second land on that monomial (x_u = x_v), ``(u,)`` when only one does
+    (x_u = 0).  A product in the ideal is zero and yields nothing.
+    Multiplying by a cofactor is injective, so no generator lands twice on
+    one monomial.
     """
     gens = ideal.gens
     n_basis = len(basis)
-    rows: list[dict[int, int]] = []
+    rows: list[tuple[int, ...]] = []
     for (gi, gj), lcm in syzygy_pairs(ideal):
-        contributions: dict[Monomial, dict[int, int]] = {}
-        for g, sign in ((gi, 1), (gj, -1)):
+        landed: dict[Monomial, tuple[int, ...]] = {}
+        for g in (gi, gj):
             mult = tuple(l - e for l, e in zip(lcm, gens[g]))
             for b, mono in enumerate(basis):
                 prod = (mono[0] + mult[0], mono[1] + mult[1], mono[2] + mult[2])
                 if not ideal.contains_monomial(prod):
-                    contributions.setdefault(prod, {})[g * n_basis + b] = sign
-        rows.extend(contributions[prod] for prod in sorted(contributions))
+                    landed[prod] = landed.get(prod, ()) + (g * n_basis + b,)
+        rows.extend(landed[prod] for prod in sorted(landed))
     return rows
 
 
@@ -246,26 +250,28 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
         raise ValueError(f"ideal size {size} at d_max {d_max} exceeds the cap {SIZE_CAP}")
     basis = standard_monomials(ideal, d_max)
     n_basis = len(basis)
-    null_basis = linalg.nullspace(_constraint_rows(ideal, basis), len(gens) * n_basis)
-    basis_maps = tuple(tuple({} for _ in gens) for _ in null_basis)
-    for images, vec in zip(basis_maps, null_basis):
-        for unknown, c in vec.items():
+    basis_maps = []
+    for component in linalg.nullspace(_constraint_rows(ideal, basis), len(gens) * n_basis):
+        images: list[list[int]] = [[] for _ in gens]
+        for unknown in component:  # sorted, so each image comes out sorted
             g, b = divmod(unknown, n_basis)
-            images[g][b] = c
-    solution = HomSolution(ideal, d_max, basis, basis_maps)
+            images[g].append(b)
+        basis_maps.append(tuple(map(tuple, images)))
+    solution = HomSolution(ideal, d_max, basis, tuple(basis_maps))
     if not verify_hom_solution(solution):
         raise RuntimeError("solved basis map fails a syzygy constraint on re-substitution")
     return solution
 
 
-def _apply_map(ideal: MonomialIdeal, basis: tuple[Monomial, ...], images, gen: int, mult: Monomial):
-    """Multiply the image of one generator by a cofactor, in the quotient."""
-    out: dict[Monomial, int] = {}
-    for b, c in images[gen].items():
+def _apply_map(ideal: MonomialIdeal, basis: tuple[Monomial, ...], image, mult: Monomial):
+    """Multiply one generator's image by a cofactor, in the quotient: the set
+    of product monomials outside the ideal (no two coincide)."""
+    out = set()
+    for b in image:
         mono = basis[b]
         prod = (mono[0] + mult[0], mono[1] + mult[1], mono[2] + mult[2])
         if not ideal.contains_monomial(prod):
-            out[prod] = c  # multiplying by a monomial is injective: no collisions
+            out.add(prod)
     return out
 
 
@@ -282,8 +288,8 @@ def verify_hom_solution(solution: HomSolution) -> bool:
     ]
     for images in solution.basis_maps:
         for (gi, mult_i), (gj, mult_j) in sides:
-            lhs = _apply_map(ideal, basis, images, gi, mult_i)
-            if lhs != _apply_map(ideal, basis, images, gj, mult_j):
+            lhs = _apply_map(ideal, basis, images[gi], mult_i)
+            if lhs != _apply_map(ideal, basis, images[gj], mult_j):
                 return False
     return True
 

@@ -2,12 +2,19 @@
 
 Tests check the union-find ``linalg.nullspace`` and the rank that
 ``hom_dimension`` reports against the functions here.  Rows and kernel
-vectors are ``{column: int}`` maps, as in the package, but the elimination
-runs on dense rational rows and shares no code with the package.
+vectors are ``{column: int}`` maps; :func:`dict_rows` turns the package's
+edge rows into them.  The elimination runs on dense rational rows and
+shares no code with the package.
 """
 
 from fractions import Fraction
 from math import gcd
+
+
+def dict_rows(rows):
+    """``{column: int}`` rows of edge rows: ``(u,)`` says x_u = 0 and
+    ``(u, v)`` says x_u - x_v = 0."""
+    return [{row[0]: 1} if len(row) == 1 else {row[0]: 1, row[1]: -1} for row in rows]
 
 
 def dense_rref(rows, n_cols):

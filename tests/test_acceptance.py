@@ -35,7 +35,7 @@ from fiberdt.localhom import (
 )
 from fiberdt.oracles import colored_partitions_count, nested_colored_count
 from fiberdt.polyseries import series_product
-from linalg_reference import rank as reference_rank
+from linalg_reference import dict_rows, rank as reference_rank
 from series_reference import mul, one, poly_mul
 
 SURFACES = surface_names()
@@ -172,13 +172,13 @@ def test_criterion_7_invariant_suites():
         # basis maps verify and are independent
         for ideal, d in ((LINE_IDEAL, 5), (LINE_WITH_EMBEDDED_POINT_IDEAL, 4)):
             solution = hom_dimension(ideal, d)
-            rows = _constraint_rows(ideal, solution.basis)
+            rows = dict_rows(_constraint_rows(ideal, solution.basis))
             assert reference_rank(rows, solution.n_unknowns) == solution.rank
             assert solution.rank + solution.dimension == solution.n_unknowns
             assert verify_hom_solution(solution)
             n_basis = len(solution.basis)
             flat = [
-                {g * n_basis + b: c for g, image in enumerate(images) for b, c in image.items()}
+                {g * n_basis + b: 1 for g, image in enumerate(images) for b in image}
                 for images in solution.basis_maps
             ]
             assert reference_rank(flat, solution.n_unknowns) == solution.dimension

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import random
 import sys
 import tracemalloc
@@ -165,17 +166,72 @@ def test_basis_maps_verify_and_are_independent():
     assert verify_hom_solution(solution)
     n_basis = len(solution.basis)
     flat = [
-        {g * n_basis + b: c for g, image in enumerate(images) for b, c in image.items()}
+        {g * n_basis + b: 1 for g, image in enumerate(images) for b in image}
         for images in solution.basis_maps
     ]
     assert linalg_reference.rank(flat, solution.n_unknowns) == solution.dimension
 
 
+def edited(solution, v, g, image):
+    """``solution`` with the image of generator g under basis map v replaced."""
+    maps = [list(images) for images in solution.basis_maps]
+    maps[v][g] = image
+    return solution._replace(basis_maps=tuple(map(tuple, maps)))
+
+
+def test_verify_rejects_a_dropped_or_added_basis_index():
+    # (w2^2, w1^2 w2, w1^3) at D = 1 has basis maps of two unknowns.
+    solution = hom_dimension(MonomialIdeal(((0, 2, 0), (2, 1, 0), (3, 0, 0))), 1)
+    assert verify_hom_solution(solution)
+    v = next(v for v, images in enumerate(solution.basis_maps) if sum(map(len, images)) > 1)
+    g = next(g for g, image in enumerate(solution.basis_maps[v]) if image)
+    image = solution.basis_maps[v][g]
+    # Each unknown of the map is tied to another by an equality, so dropping
+    # one breaks that equality.
+    assert not verify_hom_solution(edited(solution, v, g, image[1:]))
+    # The constant term is in no kernel vector, so adding it breaks a
+    # constraint.
+    const_idx = solution.basis.index((0, 0, 0))
+    assert all(const_idx not in image for images in solution.basis_maps for image in images)
+    assert not verify_hom_solution(edited(solution, v, g, tuple(sorted(image + (const_idx,)))))
+
+
+def merging_a_zeroed_component(monkeypatch):
+    """Patch ``linalg.nullspace`` to merge a zeroed unknown's component (one
+    that no kernel vector holds) into the first kept component."""
+    nullspace = linalg.nullspace
+
+    def merged(rows, n_cols):
+        kernel = nullspace(rows, n_cols)
+        kept = {u for component in kernel for u in component}
+        dead = next(u for u in range(n_cols) if u not in kept)
+        return [tuple(sorted(kernel[0] + (dead,)))] + kernel[1:]
+
+    monkeypatch.setattr(linalg, "nullspace", merged)
+
+
+def test_hom_dimension_raises_when_a_map_fails_resubstitution(monkeypatch):
+    merging_a_zeroed_component(monkeypatch)
+    with pytest.raises(RuntimeError, match="re-substitution"):
+        hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 1)
+
+
+def test_cli_exits_3_when_a_map_fails_resubstitution(monkeypatch, tmp_path, capsys):
+    from fiberdt import cli
+
+    path = tmp_path / "embedded.json"
+    path.write_text(json.dumps(LINE_WITH_EMBEDDED_POINT_IDEAL.to_json()))
+    merging_a_zeroed_component(monkeypatch)
+    assert cli.main(["localhom", "--dmax", "1", "--ideal-file", str(path)]) == 3
+    assert "re-substitution" in capsys.readouterr().err
+
+
 def constraint_system(ideal, d_max):
-    """The constraint rows of ``hom_dimension(ideal, d_max)`` and the number
-    of unknowns."""
+    """The constraint rows of ``hom_dimension(ideal, d_max)``, as the
+    reference's ``{column: int}`` rows, and the number of unknowns."""
     basis = standard_monomials(ideal, d_max)
-    return _constraint_rows(ideal, basis), len(ideal.gens) * len(basis)
+    rows = linalg_reference.dict_rows(_constraint_rows(ideal, basis))
+    return rows, len(ideal.gens) * len(basis)
 
 
 def random_ideals(seed, count):
@@ -240,9 +296,9 @@ def test_embedded_point_solution_shape():
     w3_idx = basis.index((0, 0, 1))
     for images in solution.basis_maps:
         for gen_image in images:
-            assert gen_image.get(const_idx, 0) == 0
+            assert const_idx not in gen_image
         for gen in (0, 1, 2):  # images of w1^2, w1 w2, w2^2
-            assert images[gen].get(w3_idx, 0) == 0
+            assert w3_idx not in images[gen]
 
 
 def test_dimension_invariant_under_generator_permutation():
@@ -370,14 +426,14 @@ def constraint_rows_by_window(ideal, basis, window):
     rows = []
     for (gi, gj), lcm in syzygy_pairs(ideal):
         contributions = {}
-        for g, sign in ((gi, 1), (gj, -1)):
+        for g in (gi, gj):
             mult = tuple(l - e for l, e in zip(lcm, ideal.gens[g]))
             for b, mono in enumerate(basis):
                 prod = tuple(x + y for x, y in zip(mono, mult))
                 if prod not in window_set:
                     assert ideal.contains_monomial(prod), (ideal, prod)
                     continue
-                contributions.setdefault(prod, {})[g * n_basis + b] = sign
+                contributions[prod] = contributions.get(prod, ()) + (g * n_basis + b,)
         rows.extend(contributions[prod] for prod in sorted(contributions))
     return rows
 

@@ -117,8 +117,7 @@ def test_hom_solution_counts_are_read_off_the_basis_maps(ideal, d_max):
 def _records():
     return (
         MonomialIdeal(((1, 0, 0), (0, 1, 0))),
-        # No basis maps, so that the record hashes: an image is a dict.
-        HomSolution(LINE_IDEAL, 0, ((0, 0, 0),), ()),
+        hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 1),
         FibrationSpec(K3, 1, True),
         Partition((2, 1)),
     )
@@ -138,6 +137,21 @@ def test_hom_solution_is_frozen():
     for count in ("dimension", "rank", "n_unknowns"):
         with pytest.raises(AttributeError):
             setattr(solution, count, 0)
+
+
+def test_hom_solution_images_cannot_be_edited_in_place():
+    solution = hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 1)
+    assert all(type(image) is tuple for images in solution.basis_maps for image in images)
+    images = solution.basis_maps[0]
+    image = next(image for image in images if image)
+    with pytest.raises(TypeError):
+        image[0] = image[0] + 1
+    with pytest.raises(AttributeError):
+        image.append(0)
+    with pytest.raises(TypeError):
+        images[0] = ()
+    with pytest.raises(TypeError):
+        solution.basis_maps[0] = ()
 
 
 @pytest.mark.parametrize("index", range(4))
