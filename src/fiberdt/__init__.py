@@ -31,11 +31,10 @@ _SOURCES = {
     "formulas": (
         "dt_invariant",
         "dt_table",
+        "euler_sequence",
         "hilbert_euler_direct",
-        "hilbert_euler_series",
         "hilbert_hodge_series",
         "ideal_sheaf_euler_direct",
-        "ideal_sheaf_euler_sequence",
         "ideal_sheaf_hodge_series",
         "moduli_dimension",
         "nested_hodge_series",

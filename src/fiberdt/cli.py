@@ -23,12 +23,13 @@ from pathlib import Path
 
 __all__ = ["main", "build_parser", "Q_MAX_CAP", "D_MAX_CAP", "HODGE_CAP", "INPUT_FILE_CAP"]
 
-# Caps bound the worst cases, in two regimes for series on a 2-core machine
-# with Python 3.11: registry surfaces take at most about 3 s (the abelian
-# surface at full truncation order, `series hilb --surface abelian --qmax 50`,
-# about 1.5 s), and a diamond with every entry at HODGE_CAP takes about
-# 30-35 s at q_max = 50 (`hilb` at q_max = 30: about 2.2 s).  D_MAX_CAP bounds
-# the w3 truncation degree of a Hom computation.
+# Caps bound the worst cases, in two regimes for Hodge series on a 2-core
+# machine with Python 3.11: registry surfaces take at most about 3 s (the
+# abelian surface at full truncation order, `series hilb --surface abelian
+# --qmax 50`, about 1.5 s), and a diamond with every entry at HODGE_CAP takes
+# about 30-35 s at q_max = 50 (`hilb` at q_max = 30: about 2.2 s).  An --euler
+# request builds no Hodge series and takes about 0.1 s at every cap.
+# D_MAX_CAP bounds the w3 truncation degree of a Hom computation.
 Q_MAX_CAP = 50
 D_MAX_CAP = 12
 # Bounds every h^{i,j} of a series surface and the fiber genus (h^{0,1} of the
@@ -225,6 +226,18 @@ def _cmd_series(args) -> None:
     request = {
         "kind": kind, "surface_doc": surface.to_json(), "surface_name": name, "genus": args.genus
     }
+    if args.euler:  # builds no Hodge series, so no cache entry is read or written
+        from . import formulas
+
+        values = formulas.euler_sequence(kind, geometry, args.q_max)
+        if args.format == "json":
+            text = serialize.euler_to_json(values, **request)
+        elif args.format == "csv":
+            text = serialize.euler_to_csv(values, kind=kind)
+        else:
+            text = serialize.series_to_text(values, kind=kind, surface_name=name, euler=True)
+        _emit(text, args.out)
+        return
     path = series = hodge_json = None
     if args.cache:
         key = hashlib.sha256(serialize.canonical_json({**request, "q_max": args.q_max}).encode())
@@ -236,7 +249,7 @@ def _cmd_series(args) -> None:
             # A missing entry, or one that is not the writer's bytes for this
             # request, is recomputed.
             hodge_json = None
-        if args.euler or args.format != "json":
+        if args.format != "json":
             hodge_json = None  # not held through the render of another format
     write_entry = path is not None and series is None
     if series is None:
@@ -258,15 +271,7 @@ def _cmd_series(args) -> None:
             tmp.unlink(missing_ok=True)
             raise
 
-    if args.euler:
-        values = series.euler_sequence()
-        if args.format == "json":
-            text = serialize.euler_to_json(values, **request)
-        elif args.format == "csv":
-            text = serialize.euler_to_csv(values, kind=kind)
-        else:
-            text = serialize.series_to_text(values, kind=kind, surface_name=name, euler=True)
-    elif args.format == "json":
+    if args.format == "json":
         text = hodge_json or serialize.series_to_json(series, **request)
     elif args.format == "csv":
         text = serialize.series_to_csv(series, kind=kind)
@@ -348,11 +353,10 @@ def _cmd_oracle(args) -> None:
         from . import formulas
         from .geometry import surface_with_euler_number
 
-        surface = surface_with_euler_number(chi)
-        if args.kind == "colored":
-            coefficient = formulas.hilbert_euler_series(surface, m)[m]
-        else:
-            coefficient = formulas.nested_hodge_series(surface, m + 1).euler_sequence()[m + 1]
+        # The colored count is e(S^[m]), the hilb coefficient of q^m; the nested
+        # count is e of the (m, m+1) nested space, the incidence one of q^(m+1).
+        kind, q = ("hilb", m) if args.kind == "colored" else ("incidence", m + 1)
+        coefficient = formulas.euler_sequence(kind, surface_with_euler_number(chi), q)[q]
         ok = coefficient == count
         lines += [f"series coefficient: {coefficient}", "check: pass" if ok else "check: FAIL"]
     _emit("\n".join(lines) + "\n", None)

@@ -9,14 +9,13 @@ identifications (the coefficient of q^1 equals the class of the surface,
 respectively of the 3-fold) and validated against the partition oracles at
 the Euler level.
 
-The Euler sequences are computed at s = t = 1: the same packed product runs
-on the specialized factors (1 - q^k) ** (-e(surface)), seeded with the Euler
-number of the 3-fold, so no Hodge series is built for them.
+:func:`euler_sequence` runs the same packed product at s = t = 1, on the
+factors (1 - q^k) ** (-e(surface)), so no Hodge series is built for it.
 
-Every series function has a parallel "direct" integer route computed by a
-univariate recurrence on plain ints; the two routes share no code with the
+Every series has a parallel "direct" integer route computed by a univariate
+recurrence on plain ints; the direct routes share no code with the
 polynomial machinery and are compared coefficient by coefficient by
-:func:`verify_series` and :func:`dt_table`.
+:func:`verify_series` and :func:`euler_sequence`.
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ from .polyseries import TruncatedSeries, series_product
 
 __all__ = [
     "hilbert_hodge_series",
-    "hilbert_euler_series",
     "nested_hodge_series",
     "ideal_sheaf_hodge_series",
-    "ideal_sheaf_euler_sequence",
+    "euler_sequence",
     "moduli_dimension",
     "dt_table",
     "dt_invariant",
@@ -71,21 +69,6 @@ def hilbert_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
     return series_product(_surface_factors(surface, q_max), q_max)
 
 
-def _euler_factors(chi: int, q_max: int):
-    # The surface factors at s = t = 1: the e^{i,j} of each k add up to chi.
-    return ((0, 0, k, chi) for k in range(1, q_max + 1))
-
-
-def hilbert_euler_series(surface: HodgeDiamond, q_max: int) -> tuple[int, ...]:
-    """Euler specialization (s = t = 1) of :func:`hilbert_hodge_series`.
-
-    It is computed at s = t = 1, as the product over k of
-    (1 - q^k) ** (-e(surface)), without the Hodge series.
-    """
-    _require_surface(surface)
-    return series_product(_euler_factors(surface.euler_number(), q_max), q_max).euler_sequence()
-
-
 def _extra_point_series(factors, e, q_max: int) -> TruncatedSeries:
     # q times e times the product of the factors; after the shift by q only
     # the product's terms below q^q_max survive.  e seeds the packed product
@@ -120,14 +103,42 @@ def ideal_sheaf_hodge_series(fibration: FibrationSpec, q_max: int) -> TruncatedS
     return _extra_point_series(factors, fibration.e_polynomial(), q_max)
 
 
-def ideal_sheaf_euler_sequence(fibration: FibrationSpec, q_max: int) -> tuple[int, ...]:
-    """Euler specialization of :func:`ideal_sheaf_hodge_series`.
+def _surface_and_direct(kind: str, geometry, q_max: int):
+    """(e(S), e of ``geometry``, direct integer Euler series) of the series of
+    the given kind built from ``geometry``: a surface :class:`HodgeDiamond`
+    for "hilb" and "incidence", a :class:`FibrationSpec` for "im1".  Another
+    kind or geometry raises ``ValueError``."""
+    if kind not in ("hilb", "incidence", "im1"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    if isinstance(geometry, FibrationSpec) != (kind == "im1"):
+        wanted = "a FibrationSpec" if kind == "im1" else "a surface HodgeDiamond"
+        raise ValueError(f"{kind} series are built from {wanted}")
+    surface = geometry.base if kind == "im1" else geometry
+    _require_surface(surface)
+    chi_s, chi = surface.euler_number(), geometry.euler_number()
+    if kind == "hilb":
+        return chi_s, chi, hilbert_euler_direct(chi_s, q_max)
+    return chi_s, chi, ideal_sheaf_euler_direct(chi, chi_s, q_max)
 
-    It is computed at s = t = 1, as q/(1 - q) times e of the 3-fold times the
-    product over k of (1 - q^k) ** (-e(base)), without the Hodge series.
-    """
-    factors = [(0, 0, 1, 1), *_euler_factors(fibration.base.euler_number(), q_max - 1)]
-    return _extra_point_series(factors, fibration.euler_number(), q_max).euler_sequence()
+
+def euler_sequence(
+    kind: str, geometry: HodgeDiamond | FibrationSpec, q_max: int
+) -> tuple[int, ...]:
+    """Euler numbers (s = t = 1) of the series of the given kind, built
+    without its Hodge series: the product over k of (1 - q^k) ** (-e(S)),
+    for "incidence" and "im1" times q/(1 - q) and e(S) or e(X).  ``kind`` and
+    ``geometry`` are taken as by :func:`verify_series`; a mismatch with the
+    direct integer series raises ``RuntimeError``."""
+    chi_s, chi, expected = _surface_and_direct(kind, geometry, q_max)
+    # The surface factors at s = t = 1: the e^{i,j} of each k add up to e(S).
+    factors = [(0, 0, k, chi_s) for k in range(1, q_max + 1)]
+    if kind == "hilb":
+        values = series_product(factors, q_max).euler_sequence()
+    else:
+        values = _extra_point_series([(0, 0, 1, 1), *factors], chi, q_max).euler_sequence()
+    if values != expected:
+        raise RuntimeError("Euler specialization disagrees with the direct integer series")
+    return values
 
 
 def moduli_dimension(m: int) -> int:
@@ -150,9 +161,9 @@ def dt_table(fibration: FibrationSpec, m_max: int) -> tuple[tuple[int, int], ...
     moduli space is smooth with obstruction bundle dual to its tangent bundle
     and the invariant is (-1)^dim times the Euler number.
 
-    The Euler column is checked against :func:`ideal_sheaf_euler_direct` and
-    every invariant against the vanishing that the setting forces; either
-    failure raises ``RuntimeError``.
+    The Euler column is the checked :func:`euler_sequence`, and every
+    invariant is checked against the vanishing that the setting forces;
+    either failure raises ``RuntimeError``.
     """
     if not fibration.base_canonical_trivial:
         raise ValueError(
@@ -166,12 +177,7 @@ def dt_table(fibration: FibrationSpec, m_max: int) -> tuple[tuple[int, int], ...
         )
     if m_max < 0:
         raise ValueError("moduli label must be nonnegative")
-    euler = ideal_sheaf_euler_sequence(fibration, m_max + 1)
-    direct = ideal_sheaf_euler_direct(
-        fibration.euler_number(), fibration.base.euler_number(), m_max + 1
-    )
-    if euler != direct:
-        raise RuntimeError("Euler specialization disagrees with the direct integer series")
+    euler = euler_sequence("im1", fibration, m_max + 1)
     table = tuple(
         (euler[m + 1], (-1) ** moduli_dimension(m) * euler[m + 1]) for m in range(m_max + 1)
     )
@@ -242,22 +248,11 @@ def verify_series(
     :class:`FibrationSpec` for "im1".  Every coefficient must be symmetric
     under swapping s and t, and the s = t = 1 specialization must equal the
     direct integer series of ``geometry``.  A failure raises ``RuntimeError``;
-    a geometry of the other kind raises ``ValueError``.
+    an unknown kind or a geometry of the other kind raises ``ValueError``.
     """
-    if kind not in ("hilb", "incidence", "im1"):
-        raise ValueError(f"unknown series kind {kind!r}")
-    if isinstance(geometry, FibrationSpec) != (kind == "im1"):
-        wanted = "a FibrationSpec" if kind == "im1" else "a surface HodgeDiamond"
-        raise ValueError(f"{kind} series are checked against {wanted}")
+    expected = _surface_and_direct(kind, geometry, series.q_max)[2]
     for m, poly in enumerate(series.coefficients):
         if poly.swap_variables() != poly:
             raise RuntimeError(f"q^{m} coefficient is not symmetric under swapping s and t")
-    if kind == "hilb":
-        expected = hilbert_euler_direct(geometry.euler_number(), series.q_max)
-    else:
-        base = geometry.base if kind == "im1" else geometry
-        expected = ideal_sheaf_euler_direct(
-            geometry.euler_number(), base.euler_number(), series.q_max
-        )
     if series.euler_sequence() != expected:
         raise RuntimeError("Euler specialization disagrees with the direct integer series")

@@ -259,7 +259,7 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
         basis_maps.append(tuple(map(tuple, images)))
     solution = HomSolution(ideal, d_max, basis, tuple(basis_maps))
     if not verify_hom_solution(solution):
-        raise RuntimeError("solved basis map fails a syzygy constraint on re-substitution")
+        raise RuntimeError("solved basis maps fail re-substitution or do not span the kernel")
     return solution
 
 
@@ -275,11 +275,50 @@ def _apply_map(ideal: MonomialIdeal, basis: tuple[Monomial, ...], image, mult: M
     return out
 
 
-def verify_hom_solution(solution: HomSolution) -> bool:
-    """Re-substitute every basis map into every syzygy constraint.
+def _spans_kernel(solution: HomSolution) -> bool:
+    """Whether the basis maps are the components of the equality rows that
+    hold no zeroed unknown, each once: a breadth-first search over
+    :func:`_constraint_rows`, sharing no code with ``linalg.nullspace``."""
+    n = solution.n_unknowns
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    zeroed = set()
+    for row in _constraint_rows(solution.ideal, solution.basis):
+        if len(row) == 1:
+            zeroed.add(row[0])
+        else:
+            neighbours[row[0]].append(row[1])
+            neighbours[row[1]].append(row[0])
+    kernel = set()
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for u in component:  # grows while it is read: breadth first
+            for v in neighbours[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    component.append(v)
+        if zeroed.isdisjoint(component):
+            kernel.add(frozenset(component))
+    n_basis = len(solution.basis)
+    maps = [
+        frozenset(g * n_basis + b for g, image in enumerate(images) for b in image)
+        for images in solution.basis_maps
+    ]
+    return len(maps) == len(kernel) and set(maps) == kernel
 
-    Returns True when all constraints hold exactly.
+
+def verify_hom_solution(solution: HomSolution) -> bool:
+    """Re-substitute every basis map into every syzygy constraint, and check
+    that the maps span the kernel: each is one connected component of the
+    equality rows, and every unknown in no map is joined to a zeroed one.
+
+    Returns True when all of this holds exactly.
     """
+    if not _spans_kernel(solution):
+        return False
     ideal, basis = solution.ideal, solution.basis
     # Both cofactors of every syzygy pair, computed once for all basis maps.
     sides = [

@@ -10,11 +10,10 @@ from contextlib import contextmanager
 
 from fiberdt.formulas import (
     dt_invariant,
+    euler_sequence,
     hilbert_euler_direct,
-    hilbert_euler_series,
     hilbert_hodge_series,
     ideal_sheaf_euler_direct,
-    ideal_sheaf_euler_sequence,
     ideal_sheaf_hodge_series,
     nested_hodge_series,
 )
@@ -80,13 +79,13 @@ def test_criterion_3_euler_oracle_equivalence():
         for chi in (1, 2, 3, 4):
             surface = surface_with_euler_number(chi)
             assert surface.euler_number() == chi
-            hilbert = hilbert_euler_series(surface, 6)
+            hilbert = euler_sequence("hilb", surface, 6)
             nested = nested_hodge_series(surface, 7).euler_sequence()
             for m in range(7):
                 assert hilbert[m] == colored_partitions_count(chi, m), (chi, m)
                 assert nested[m + 1] == nested_colored_count(chi, m), (chi, m)
         # spot values
-        assert hilbert_euler_series(surface_with_euler_number(3), 3) == (1, 3, 9, 22)
+        assert euler_sequence("hilb", surface_with_euler_number(3), 3) == (1, 3, 9, 22)
         assert nested_colored_count(1, 1) == 2
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.1f}s, budget 5s"
@@ -98,7 +97,7 @@ def test_criterion_4_blowup_euler_cross_check():
             chi_base = registry_lookup(name).euler_number()
             for genus in GENERA:
                 fibration = FibrationSpec.from_surface_name(name, genus)
-                values = ideal_sheaf_euler_sequence(fibration, 2)
+                values = euler_sequence("im1", fibration, 2)
                 assert values[2] == fibration.euler_number() * (1 + chi_base), (name, genus)
 
 
@@ -108,14 +107,14 @@ def test_criterion_5_specialization_consistency():
         for name in SURFACES:
             surface = registry_lookup(name)
             chi = surface.euler_number()
-            assert hilbert_euler_series(surface, q_max) == hilbert_euler_direct(chi, q_max)
+            assert euler_sequence("hilb", surface, q_max) == hilbert_euler_direct(chi, q_max)
             assert (
                 nested_hodge_series(surface, q_max).euler_sequence()
                 == ideal_sheaf_euler_direct(chi, chi, q_max)
             )
             for genus in GENERA:
                 fibration = FibrationSpec.from_surface_name(name, genus)
-                assert ideal_sheaf_euler_sequence(fibration, q_max) == ideal_sheaf_euler_direct(
+                assert euler_sequence("im1", fibration, q_max) == ideal_sheaf_euler_direct(
                     fibration.euler_number(), chi, q_max
                 )
 

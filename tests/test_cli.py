@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fiberdt import cli, formulas, serialize
-from fiberdt.geometry import FibrationSpec, registry_lookup
+from fiberdt.geometry import FibrationSpec, registry_lookup, surface_names
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
 from test_serialize import reference_checksum, with_checksum, writer_layout
 
@@ -134,7 +134,7 @@ def test_series_euler_csv_round_trip(capsys):
     )
     assert code == 0
     fib = FibrationSpec.from_surface_name("p2", 0)
-    assert out == serialize.euler_to_csv(formulas.ideal_sheaf_euler_sequence(fib, 4), kind="im1")
+    assert out == serialize.euler_to_csv(formulas.euler_sequence("im1", fib, 4), kind="im1")
 
 
 def test_series_euler_json_round_trip(capsys):
@@ -144,13 +144,99 @@ def test_series_euler_json_round_trip(capsys):
     )
     assert code == 0
     abelian = registry_lookup("abelian")
-    values = formulas.hilbert_euler_series(abelian, 5)
+    values = formulas.euler_sequence("hilb", abelian, 5)
     assert values == (1, 0, 0, 0, 0, 0)
     assert out == serialize.euler_to_json(
         values, kind="hilb", surface_doc=abelian.to_json(), surface_name="abelian"
     )
     doc = json.loads(out)
     assert doc["checksum"] == reference_checksum(doc)
+
+
+EULER_GEOMETRIES = [
+    (kind, name, None) for kind in ("hilb", "incidence") for name in surface_names()
+] + [("im1", name, genus) for name in surface_names() for genus in (0, 1, 2)]
+
+
+def hodge_route_euler_output(kind, name, genus, q_max, fmt):
+    """The --euler output as rendered from the Hodge series at s = t = 1."""
+    surface = registry_lookup(name)
+    geometry = surface if genus is None else FibrationSpec(surface, genus)
+    values = cli._compute_series(kind, geometry, q_max).euler_sequence()
+    if fmt == "json":
+        return serialize.euler_to_json(
+            values, kind=kind, surface_doc=surface.to_json(), surface_name=name, genus=genus
+        )
+    if fmt == "csv":
+        return serialize.euler_to_csv(values, kind=kind)
+    return serialize.series_to_text(values, kind=kind, surface_name=name, euler=True)
+
+
+@pytest.mark.parametrize("kind, name, genus", EULER_GEOMETRIES)
+def test_series_euler_output_is_the_hodge_series_at_one(capsys, kind, name, genus):
+    genus_argv = () if genus is None else ("--genus", str(genus))
+    for q_max in (0, 1, 7):
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run(
+                capsys, "series", kind, "--surface", name, *genus_argv,
+                "--qmax", str(q_max), "--euler", "--format", fmt,
+            )
+            assert code == 0, err
+            assert out == hodge_route_euler_output(kind, name, genus, q_max, fmt), (q_max, fmt)
+
+
+def cache_state(cache):
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()}
+
+
+def test_series_euler_leaves_the_cache_untouched(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    head = ("series", "im1", "--surface", "k3", "--genus", "1", "--qmax", "6", "--format")
+    expected = {fmt: run(capsys, *head, fmt, "--euler")[1] for fmt in ("json", "csv", "text")}
+
+    def euler_requests():
+        for fmt, out in expected.items():
+            assert run(capsys, *head, fmt, "--euler", "--cache", str(cache)) == (0, out, "")
+
+    euler_requests()
+    assert not cache.exists()  # no entry, and not even the directory
+    assert run(capsys, *head, "json", "--cache", str(cache))[0] == 0
+    [entry] = cache.iterdir()
+    for content in (None, "{not json"):  # a valid entry, then a corrupt one
+        if content is not None:
+            entry.write_text(content)
+        before = cache_state(cache)
+        euler_requests()
+        assert cache_state(cache) == before
+
+
+HODGE_SERIES_FUNCTIONS = ("hilbert_hodge_series", "nested_hodge_series", "ideal_sheaf_hodge_series")
+
+# sha256 of `series hilb --surface abelian --qmax 50 --euler --format json` as
+# rendered from the Hodge series at s = t = 1.
+ABELIAN_Q50_EULER_SHA256 = "5f7ec995a40b45845d7ff00c22b708fc900a966854947aed0d95b5ef41460c5a"
+
+
+def test_euler_requests_build_no_hodge_series(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Hodge series was built")
+
+    for attr in HODGE_SERIES_FUNCTIONS:
+        monkeypatch.setattr(formulas, attr, refuse)
+    target = tmp_path / "euler.json"
+    argv = ("series", "hilb", "--surface", "abelian", "--qmax", "50", "--euler", "--format", "json")
+    assert cli.main([*argv, "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ABELIAN_Q50_EULER_SHA256
+    for argv in (
+        ("series", "incidence", "--surface", "k3", "--qmax", "20", "--euler"),
+        ("series", "im1", "--surface", "p2", "--genus", "2", "--qmax", "20", "--euler"),
+        ("dt", "--surface", "k3", "--mmax", "10"),
+        ("oracle", "colored", "--chi", "3", "--m", "4", "--check"),
+        ("oracle", "nested", "--chi", "3", "--m", "4", "--check"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert "check: pass" in out
 
 
 def test_series_surface_file(tmp_path, capsys):
@@ -781,10 +867,20 @@ def test_broken_direct_route_trips_exit_code(monkeypatch, capsys):
     code, _, err = run(capsys, "series", "hilb", "--surface", "p2", "--qmax", "3")
     assert code == 3
     assert "cross-check" in err
+    # The direct route of incidence and im1 sums this one, so every --euler
+    # kind meets a wrong direct series.
+    for kind, genus_argv in (("hilb", ()), ("incidence", ()), ("im1", ("--genus", "0"))):
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run(
+                capsys, "series", kind, "--surface", "p2", *genus_argv,
+                "--qmax", "3", "--euler", "--format", fmt,
+            )
+            assert (code, out) == (3, ""), (kind, fmt)
+            assert "direct integer series" in err
 
 
 def test_oracle_check_mismatch_trips_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(formulas, "hilbert_euler_series", lambda s, m, **kw: (7,) * (m + 1))
+    monkeypatch.setattr(formulas, "euler_sequence", lambda kind, geometry, q: (7,) * (q + 1))
     code, out, err = run(capsys, "oracle", "colored", "--chi", "2", "--m", "2", "--check")
     assert code == 3
     assert "check: FAIL" in out

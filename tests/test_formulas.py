@@ -7,11 +7,10 @@ from fiberdt import formulas
 from fiberdt.formulas import (
     dt_invariant,
     dt_table,
+    euler_sequence,
     hilbert_euler_direct,
-    hilbert_euler_series,
     hilbert_hodge_series,
     ideal_sheaf_euler_direct,
-    ideal_sheaf_euler_sequence,
     ideal_sheaf_hodge_series,
     moduli_dimension,
     nested_hodge_series,
@@ -65,17 +64,17 @@ def test_hilbert_series_matches_goettsche_on_seeded_diamonds():
 
 
 def test_hilbert_euler_chi_three():
-    assert hilbert_euler_series(surface("p2"), 3) == (1, 3, 9, 22)
+    assert euler_sequence("hilb", surface("p2"), 3) == (1, 3, 9, 22)
 
 
 def test_hilbert_euler_k3():
     # Hand expansion: q^2 gives C(25,2) + 24 = 324 and q^3 gives
     # C(26,3) + 24*24 + 24 = 3200.
-    assert hilbert_euler_series(surface("k3"), 3) == (1, 24, 324, 3200)
+    assert euler_sequence("hilb", surface("k3"), 3) == (1, 24, 324, 3200)
 
 
 def test_hilbert_euler_abelian_vanishes():
-    assert hilbert_euler_series(surface("abelian"), 5) == (1, 0, 0, 0, 0, 0)
+    assert euler_sequence("hilb", surface("abelian"), 5) == (1, 0, 0, 0, 0, 0)
 
 
 def test_hilbert_two_points_k3_hodge_numbers():
@@ -130,9 +129,9 @@ def test_hilbert_scheme_betti_numbers(name, n, betti, euler):
 
 
 def test_hilbert_euler_single_values():
-    assert hilbert_euler_series(surface("p1xp1"), 0)[0] == 1
-    assert hilbert_euler_series(surface("p2"), 3)[3] == 22
-    assert hilbert_euler_series(surface("k3"), 1)[1] == 24
+    assert euler_sequence("hilb", surface("p1xp1"), 0)[0] == 1
+    assert euler_sequence("hilb", surface("p2"), 3)[3] == 22
+    assert euler_sequence("hilb", surface("k3"), 1)[1] == 24
 
 
 def test_hilbert_requires_surface():
@@ -218,21 +217,21 @@ def test_ideal_sheaf_blowup_euler_identity():
         chi_base = surface(name).euler_number()
         for g in (0, 1, 2):
             fib = FibrationSpec.from_surface_name(name, g)
-            values = ideal_sheaf_euler_sequence(fib, 2)
+            values = euler_sequence("im1", fib, 2)
             assert values[2] == fib.euler_number() * (1 + chi_base)
 
 
 def test_ideal_sheaf_euler_values():
     fib = FibrationSpec.from_surface_name("p2", 0)  # chi of the 3-fold is 6
-    assert ideal_sheaf_euler_sequence(fib, 1)[1] == 6
-    assert ideal_sheaf_euler_sequence(fib, 2)[2] == 24
+    assert euler_sequence("im1", fib, 1)[1] == 6
+    assert euler_sequence("im1", fib, 2)[2] == 24
 
 
 def test_ideal_sheaf_euler_vanishes_for_chi_zero_total_space():
     for name, g in (("abelian", 1), ("k3", 1), ("p2", 1)):
         fib = FibrationSpec.from_surface_name(name, g)
         assert fib.euler_number() == 0
-        assert ideal_sheaf_euler_sequence(fib, 6) == (0,) * 7
+        assert euler_sequence("im1", fib, 6) == (0,) * 7
 
 
 def test_specialization_matches_direct_integer_routes():
@@ -240,13 +239,14 @@ def test_specialization_matches_direct_integer_routes():
     for name in SURFACES:
         S = surface(name)
         chi = S.euler_number()
-        assert hilbert_euler_series(S, q_max) == hilbert_euler_direct(chi, q_max)
+        assert euler_sequence("hilb", S, q_max) == hilbert_euler_direct(chi, q_max)
         assert nested_hodge_series(S, q_max).euler_sequence() == ideal_sheaf_euler_direct(
             chi, chi, q_max
         )
+        assert euler_sequence("incidence", S, q_max) == ideal_sheaf_euler_direct(chi, chi, q_max)
         for g in (0, 1, 2):
             fib = FibrationSpec.from_surface_name(name, g)
-            assert ideal_sheaf_euler_sequence(fib, q_max) == ideal_sheaf_euler_direct(
+            assert euler_sequence("im1", fib, q_max) == ideal_sheaf_euler_direct(
                 fib.euler_number(), chi, q_max
             )
 
@@ -257,23 +257,74 @@ def test_euler_sequences_are_the_hodge_series_at_one(q_max):
     # Hodge series evaluated there.
     for name in SURFACES:
         S = surface(name)
-        assert hilbert_euler_series(S, q_max) == hilbert_hodge_series(S, q_max).euler_sequence()
+        assert euler_sequence("hilb", S, q_max) == hilbert_hodge_series(S, q_max).euler_sequence()
+        assert (
+            euler_sequence("incidence", S, q_max)
+            == nested_hodge_series(S, q_max).euler_sequence()
+        )
     # The diamonds of the Euler oracle check (two of them have g = 1, so a box
     # layout and factors with e = -1): their Hodge series at s = t = 1 equal
     # partition enumeration as well as the Euler route.
     for chi in (1, 2, 3, 4):
         S = surface_with_euler_number(chi)
         euler = hilbert_hodge_series(S, q_max).euler_sequence()
-        assert hilbert_euler_series(S, q_max) == euler
+        assert euler_sequence("hilb", S, q_max) == euler
         for m in range(min(q_max, 6) + 1):
             assert euler[m] == colored_partitions_count(chi, m)
     for name in SURFACES:
         for g in (0, 1, 2, 3):
             fib = FibrationSpec.from_surface_name(name, g)
             assert (
-                ideal_sheaf_euler_sequence(fib, q_max)
+                euler_sequence("im1", fib, q_max)
                 == ideal_sheaf_hodge_series(fib, q_max).euler_sequence()
             )
+
+
+def test_euler_sequences_are_the_hodge_series_at_one_on_seeded_diamonds():
+    rng = random.Random(23)
+    for _ in range(8):
+        h10, h20, h11 = rng.randrange(4), rng.randrange(4), rng.randrange(1, 25)
+        S = HodgeDiamond([[1, h10, h20], [h10, h11, h10], [h20, h10, 1]])
+        fib = FibrationSpec(S, rng.randrange(4))
+        for q_max in range(13):
+            assert (
+                euler_sequence("hilb", S, q_max) == hilbert_hodge_series(S, q_max).euler_sequence()
+            )
+            assert (
+                euler_sequence("incidence", S, q_max)
+                == nested_hodge_series(S, q_max).euler_sequence()
+            )
+            assert (
+                euler_sequence("im1", fib, q_max)
+                == ideal_sheaf_hodge_series(fib, q_max).euler_sequence()
+            ), (S, fib.fiber_genus, q_max)
+
+
+def test_euler_sequence_rejects_a_wrong_kind_or_geometry():
+    S, fib = surface("k3"), FibrationSpec.from_surface_name("k3", 1)
+    with pytest.raises(ValueError, match="unknown series kind"):
+        euler_sequence("nested", S, 2)
+    with pytest.raises(ValueError, match="a FibrationSpec"):
+        euler_sequence("im1", S, 2)
+    for kind in ("hilb", "incidence"):
+        with pytest.raises(ValueError, match="a surface HodgeDiamond"):
+            euler_sequence(kind, fib, 2)
+        with pytest.raises(ValueError, match="surface"):
+            euler_sequence(kind, curve_diamond(1), 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        euler_sequence("hilb", S, -1)
+
+
+def test_euler_sequence_checks_itself_against_the_direct_route(monkeypatch):
+    def wrong(chi, q_max):
+        return (1,) + (0,) * q_max
+
+    # The direct route of incidence and im1 sums this one.
+    monkeypatch.setattr(formulas, "hilbert_euler_direct", wrong)
+    S = surface("p2")
+    for kind, geometry in (("hilb", S), ("incidence", S), ("im1", FibrationSpec(S, 0))):
+        with pytest.raises(RuntimeError, match="direct integer series"):
+            euler_sequence(kind, geometry, 3)
 
 
 def test_all_series_coefficients_symmetric():
@@ -378,9 +429,9 @@ def test_dt_table_runs_its_own_checks(monkeypatch):
     monkeypatch.setattr(formulas, "ideal_sheaf_euler_direct", wrong)
     with pytest.raises(RuntimeError, match="direct integer series"):
         dt_table(fib, 3)
-    # The same wrong Euler numbers on both routes pass the comparison but not
-    # the vanishing that the trivial-canonical setting forces.
-    monkeypatch.setattr(formulas, "ideal_sheaf_euler_sequence", wrong)
+    # A wrong Euler column that gets past the comparison still fails the
+    # vanishing that the trivial-canonical setting forces.
+    monkeypatch.setattr(formulas, "euler_sequence", wrong)
     with pytest.raises(RuntimeError, match="vanishing Donaldson-Thomas number at m=0"):
         dt_table(fib, 3)
 

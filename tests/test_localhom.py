@@ -226,6 +226,37 @@ def test_cli_exits_3_when_a_map_fails_resubstitution(monkeypatch, tmp_path, caps
     assert "re-substitution" in capsys.readouterr().err
 
 
+def patched_nullspace(monkeypatch, edit):
+    """Patch ``linalg.nullspace`` to return ``edit(kernel)``."""
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows, n_cols: edit(nullspace(rows, n_cols)))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    (
+        pytest.param(lambda kernel: [kernel[0] + kernel[1]] + kernel[2:], id="merged-components"),
+        pytest.param(lambda kernel: kernel[1:], id="dropped-component"),
+        pytest.param(lambda kernel: kernel[:1] + kernel, id="repeated-component"),
+    ),
+)
+def test_hom_dimension_raises_when_the_maps_do_not_span_the_kernel(monkeypatch, edit):
+    # A sum of two kernel vectors, or a kernel short of one vector, passes
+    # re-substitution; only the spanning check sees it.
+    patched_nullspace(monkeypatch, edit)
+    with pytest.raises(RuntimeError, match="do not span the kernel"):
+        hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 1)
+
+
+def test_verify_rejects_maps_that_do_not_span_the_kernel():
+    solution = hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 1)
+    assert solution.dimension == 12
+    maps = solution.basis_maps
+    merged = tuple(tuple(sorted(a + b)) for a, b in zip(maps[0], maps[1]))
+    for edited_maps in ((merged, *maps[2:]), maps[1:], (maps[0], *maps)):
+        assert not verify_hom_solution(solution._replace(basis_maps=edited_maps))
+
+
 def constraint_system(ideal, d_max):
     """The constraint rows of ``hom_dimension(ideal, d_max)``, as the
     reference's ``{column: int}`` rows, and the number of unknowns."""
