@@ -45,17 +45,13 @@ def _require_surface(diamond: HodgeDiamond) -> None:
 def _surface_factors(surface: HodgeDiamond, q_max: int):
     """Factor list (a, b, k, e) of the Hilbert-scheme product for a surface.
 
-    For each k >= 1 and each (i, j) with a nonzero signed Hodge number
-    e^{i,j} = (-1)^(i+j) h^{i,j}, the product picks up the factor
-    (1 - s^(i+k-1) t^(j+k-1) q^k) ** (-e^{i,j}).
+    For each k >= 1 and each term e^{i,j} s^i t^j of e(surface), the product
+    picks up the factor (1 - s^(i+k-1) t^(j+k-1) q^k) ** (-e^{i,j}).
     """
+    signed = surface.e_polynomial().terms.items()
     for k in range(1, q_max + 1):
-        for i in range(3):
-            for j in range(3):
-                h = surface.hodge(i, j)
-                if h:
-                    e = -h if (i + j) % 2 else h
-                    yield (i + k - 1, j + k - 1, k, e)
+        for (i, j), e in signed:
+            yield (i + k - 1, j + k - 1, k, e)
 
 
 def hilbert_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:

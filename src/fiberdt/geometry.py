@@ -25,29 +25,25 @@ __all__ = [
 
 
 class InvalidDiamond(ValueError):
-    """A Hodge grid violating one of the diamond invariants.
-
-    The name of the violated invariant is kept on the ``invariant`` attribute
-    and spelled out in the message, so callers can report exactly what failed.
-    """
+    """A Hodge grid violating one of the diamond invariants; the message
+    names the invariant, so callers can report exactly what failed."""
 
     def __init__(self, invariant: str, detail: str):
         super().__init__(f"invalid Hodge diamond ({invariant}): {detail}")
-        self.invariant = invariant
 
 
-class HodgeDiamond:
+class HodgeDiamond(namedtuple("HodgeDiamond", ("grid",))):
     """The grid h^{i,j} of a connected smooth projective variety.
 
     Validation enforces conjugation symmetry h^{i,j} = h^{j,i}, Serre duality
     h^{i,j} = h^{d-i,d-j} and the normalization h^{0,0} = 1.
     """
 
-    __slots__ = ("_h",)
+    __slots__ = ()
 
-    def __init__(self, h):
+    def __new__(cls, grid):
         try:
-            grid = tuple(tuple(row) for row in h)
+            grid = tuple(tuple(row) for row in grid)
         except TypeError:
             raise InvalidDiamond("shape", "grid must be a sequence of rows")
         n = len(grid)
@@ -76,25 +72,21 @@ class HodgeDiamond:
                     )
         if grid[0][0] != 1:
             raise InvalidDiamond("h^{0,0} = 1", f"h^{{0,0}} = {grid[0][0]}")
-        self._h = grid
+        return super().__new__(cls, grid)
 
     @property
     def dim(self) -> int:
-        return len(self._h) - 1
-
-    @property
-    def grid(self) -> tuple[tuple[int, ...], ...]:
-        return self._h
+        return len(self.grid) - 1
 
     def hodge(self, i: int, j: int) -> int:
         if not (0 <= i <= self.dim and 0 <= j <= self.dim):
             raise ValueError(f"Hodge indices ({i}, {j}) outside 0..{self.dim}")
-        return self._h[i][j]
+        return self.grid[i][j]
 
     def e_polynomial(self) -> BivariatePolynomial:
         """sum of (-1)^(i+j) h^{i,j} s^i t^j over the diamond."""
         terms = {}
-        for i, row in enumerate(self._h):
+        for i, row in enumerate(self.grid):
             for j, v in enumerate(row):
                 if v:
                     terms[(i, j)] = -v if (i + j) % 2 else v
@@ -118,18 +110,7 @@ class HodgeDiamond:
         return diamond
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "h": [list(row) for row in self._h]}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HodgeDiamond):
-            return NotImplemented
-        return self._h == other._h
-
-    def __hash__(self) -> int:
-        return hash(self._h)
-
-    def __repr__(self) -> str:
-        return f"HodgeDiamond({[list(r) for r in self._h]})"
+        return {"dim": self.dim, "h": [list(row) for row in self.grid]}
 
 
 def curve_diamond(genus: int) -> HodgeDiamond:
@@ -211,12 +192,9 @@ class FibrationSpec(namedtuple("FibrationSpec", ("base", "fiber_genus", "base_ca
         """
         return 2 * self.fiber_genus - 2
 
-    def fiber_diamond(self) -> HodgeDiamond:
-        return curve_diamond(self.fiber_genus)
-
     def e_polynomial(self) -> BivariatePolynomial:
         """e of the total space: fibers multiply over a locally trivial fibration."""
-        return self.fiber_diamond().e_polynomial() * self.base.e_polynomial()
+        return curve_diamond(self.fiber_genus).e_polynomial() * self.base.e_polynomial()
 
     def euler_number(self) -> int:
         return self.e_polynomial().eval_one()

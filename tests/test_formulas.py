@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from fiberdt import formulas
+from fiberdt.cli import HODGE_CAP
 from fiberdt.formulas import (
     dt_invariant,
     dt_table,
@@ -61,6 +62,31 @@ def test_hilbert_series_matches_goettsche_on_seeded_diamonds():
         h10, h20, h11 = rng.randrange(4), rng.randrange(4), rng.randrange(1, 25)
         S = HodgeDiamond([[1, h10, h20], [h10, h11, h10], [h20, h10, 1]])
         assert hilbert_hodge_series(S, 12) == goettsche_hilbert(S.grid, 12), S
+
+
+def signed_grid_factors(S, q_max):
+    """The Hilbert-scheme factors read off the grid: (-1)^(i+j) h^{i,j} for
+    each k and each (i, j) in row-major order, with no factor where h^{i,j}
+    is 0."""
+    return [
+        (i + k - 1, j + k - 1, k, (-1) ** (i + j) * S.hodge(i, j))
+        for k in range(1, q_max + 1)
+        for i in range(3)
+        for j in range(3)
+        if S.hodge(i, j)
+    ]
+
+
+def test_surface_factors_are_the_signed_grid_in_order():
+    rng = random.Random(29)
+    entries = (0, 1, HODGE_CAP)
+    seeded = [HodgeDiamond([[1, HODGE_CAP, HODGE_CAP], [HODGE_CAP] * 3, [HODGE_CAP, HODGE_CAP, 1]])]
+    for _ in range(20):
+        h10, h20, h11 = (rng.choice((*entries, rng.randrange(HODGE_CAP + 1))) for _ in range(3))
+        seeded.append(HodgeDiamond([[1, h10, h20], [h10, h11, h10], [h20, h10, 1]]))
+    for S in [*map(surface, SURFACES), *seeded]:
+        for q_max in (0, 1, 6):
+            assert list(formulas._surface_factors(S, q_max)) == signed_grid_factors(S, q_max), S
 
 
 def test_hilbert_euler_chi_three():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import linalg_reference
-from fiberdt import linalg
+from fiberdt import linalg, localhom
 from fiberdt.localhom import (
     LINE_IDEAL,
     LINE_WITH_EMBEDDED_POINT_IDEAL,
@@ -415,6 +415,56 @@ def test_cylinder_arm_leg_character(parts, d):
     # with no elimination involved.
     solution = hom_dimension(MonomialIdeal(cylinder_generators(parts)), d)
     assert Counter(tangent_weights(solution)) == arm_leg_character(parts, d)
+
+
+def kernel_changing_rows(rows, n_unknowns):
+    """Indices of the ``{column: int}`` rows whose removal enlarges the
+    reference kernel: the rows in no linear dependency among the rows, read
+    off the reference kernel of the transposed system."""
+    transposed = [{} for _ in range(n_unknowns)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            transposed[c][r] = v
+    dependent = {r for vector in linalg_reference.nullspace(transposed, len(rows)) for r in vector}
+    return [r for r in range(len(rows)) if r not in dependent]
+
+
+@pytest.mark.parametrize("d", (2, 4))
+def test_kernel_changing_rows_are_those_whose_removal_drops_the_rank(d):
+    rows, n_unknowns = constraint_system(LINE_WITH_EMBEDDED_POINT_IDEAL, d)
+    full = linalg_reference.rank(rows, n_unknowns)
+    assert kernel_changing_rows(rows, n_unknowns) == [
+        r
+        for r in range(len(rows))
+        if linalg_reference.rank(rows[:r] + rows[r + 1 :], n_unknowns) < full
+    ]
+
+
+@pytest.mark.parametrize(
+    "gens, d, n_rows, n_changing",
+    (
+        (LINE_WITH_EMBEDDED_POINT_IDEAL.gens, 2, 22, 4),
+        (LINE_WITH_EMBEDDED_POINT_IDEAL.gens, 4, 30, 8),
+        (cylinder_generators((3, 2, 2, 1)), 3, 96, 36),
+    ),
+)
+def test_resubstitution_catches_every_row_the_builder_drops(monkeypatch, gens, d, n_rows, n_changing):
+    # The elimination and the spanning check both read _constraint_rows, so
+    # only re-substitution, which multiplies the images out itself, sees a
+    # row missing from it.  A redundant row may go without changing a map.
+    ideal = MonomialIdeal(gens)
+    solution = hom_dimension(ideal, d)
+    rows = _constraint_rows(ideal, solution.basis)
+    changing = kernel_changing_rows(linalg_reference.dict_rows(rows), solution.n_unknowns)
+    assert (len(rows), len(changing)) == (n_rows, n_changing)
+    for r in range(len(rows)):
+        dropped = rows[:r] + rows[r + 1 :]
+        monkeypatch.setattr(localhom, "_constraint_rows", lambda *_: dropped)
+        if r in changing:
+            with pytest.raises(RuntimeError, match="re-substitution"):
+                hom_dimension(ideal, d)
+        else:
+            assert hom_dimension(ideal, d) == solution
 
 
 def test_every_constraint_product_is_zero_or_standard(monkeypatch):

@@ -1,9 +1,11 @@
 """The frozen record types: construction, validation, immutability, equality,
 hashing, repr and (for partitions) ordering."""
 
+import pickle
+
 import pytest
 
-from fiberdt.geometry import FibrationSpec, HodgeDiamond, registry_lookup
+from fiberdt.geometry import FibrationSpec, HodgeDiamond, InvalidDiamond, registry_lookup
 from fiberdt.localhom import (
     LINE_IDEAL,
     LINE_WITH_EMBEDDED_POINT_IDEAL,
@@ -120,10 +122,13 @@ def _records():
         hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 1),
         FibrationSpec(K3, 1, True),
         Partition((2, 1)),
+        HodgeDiamond([[1, 0, 1], [0, 20, 0], [1, 0, 1]]),
     )
 
 
-@pytest.mark.parametrize("index, field", ((0, "gens"), (1, "basis"), (2, "fiber_genus"), (3, "parts")))
+@pytest.mark.parametrize(
+    "index, field", ((0, "gens"), (1, "basis"), (2, "fiber_genus"), (3, "parts"), (4, "grid"))
+)
 def test_records_are_frozen(index, field):
     record = _records()[index]
     with pytest.raises(AttributeError):
@@ -154,7 +159,7 @@ def test_hom_solution_images_cannot_be_edited_in_place():
         solution.basis_maps[0] = ()
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(5))
 def test_equal_records_hash_equal(index):
     first, second = _records()[index], _records()[index]
     assert first == second
@@ -169,8 +174,31 @@ def test_repr_keeps_the_dataclass_form():
         f"FibrationSpec(base={K3!r}, fiber_genus=1, base_canonical_trivial=False)"
     )
     assert repr(Partition((2, 1))) == "Partition(parts=(2, 1))"
+    assert repr(K3) == "HodgeDiamond(grid=((1, 0, 1), (0, 20, 0), (1, 0, 1)))"
     solution = hom_dimension(LINE_IDEAL, 0)
     assert repr(solution) == (
         f"HomSolution(ideal={LINE_IDEAL!r}, d_max=0, basis=((0, 0, 0),), "
         f"basis_maps={solution.basis_maps!r})"
     )
+
+
+def test_hodge_diamond_construction():
+    assert HodgeDiamond._fields == ("grid",)
+    rows = [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
+    for diamond in (HodgeDiamond(rows), HodgeDiamond(grid=rows), HodgeDiamond(K3.grid)):
+        assert diamond == K3
+        assert diamond.grid == ((1, 0, 1), (0, 20, 0), (1, 0, 1))
+    with pytest.raises(TypeError):
+        HodgeDiamond(K3.grid, 2)
+
+
+# Protocols 0 and 1 rebuild a tuple subclass without calling __new__, as they
+# do for every record here; protocol 2 and later call it with the grid.
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_hodge_diamond_pickle_round_trip_validates(protocol):
+    assert pickle.loads(pickle.dumps(K3, protocol)) == K3
+    # _make skips __new__, so it can hold a grid that validation rejects.
+    unchecked = HodgeDiamond._make([((2,),)])
+    data = pickle.dumps(unchecked, protocol)
+    with pytest.raises(InvalidDiamond, match=r"h\^\{0,0\} = 1"):
+        pickle.loads(data)
