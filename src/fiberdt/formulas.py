@@ -21,7 +21,7 @@ polynomial machinery and are compared coefficient by coefficient by
 from __future__ import annotations
 
 from .geometry import FibrationSpec, HodgeDiamond
-from .polyseries import TruncatedSeries, series_product
+from .polyseries import BivariatePolynomial, TruncatedSeries, series_product
 
 __all__ = [
     "hilbert_hodge_series",
@@ -69,10 +69,8 @@ def _extra_point_series(factors, e, q_max: int) -> TruncatedSeries:
     # q times e times the product of the factors; after the shift by q only
     # the product's terms below q^q_max survive.  e seeds the packed product
     # rather than scaling its result.
-    if not q_max:
-        return TruncatedSeries.zero(0)
-    product = series_product(factors, q_max - 1, start=e)
-    return TruncatedSeries(q_max, [0, *product.coefficients])
+    product = series_product(factors, q_max - 1, start=e).coefficients if q_max else ()
+    return TruncatedSeries((BivariatePolynomial(), *product))
 
 
 def nested_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
@@ -166,7 +164,7 @@ def dt_table(fibration: FibrationSpec, m_max: int) -> tuple[tuple[int, int], ...
             "Donaldson-Thomas evaluation requires a base surface with trivial "
             "canonical class (K = 0: registry surfaces k3 or abelian)"
         )
-    if fibration.fiber_genus != 1:
+    if fibration.beta_dot_kx != 0:
         raise ValueError(
             "Donaldson-Thomas evaluation requires an elliptic fiber (genus 1, so "
             f"beta.K = 0), got genus {fibration.fiber_genus}"

@@ -8,8 +8,10 @@ anywhere in this module.
 
 Polynomials are stored sparsely, as a map from exponent pairs to nonzero
 integers.  The map is kept in canonical form (zero coefficients are pruned
-eagerly), so structural equality of the maps is polynomial equality.  All
-values are immutable after construction and safe to share between threads.
+eagerly), so structural equality of the maps is polynomial equality.  A
+series is a record, a validating ``namedtuple`` of its tuple of polynomial
+coefficients.  All values are immutable after construction and safe to share
+between threads.
 
 :func:`series_product` is the one engine for products of factors
 (1 - s^a t^b q^k) ** (-e) = sum of c_n (s^a t^b q^k)^n, times a polynomial
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import namedtuple
 from itertools import compress
 from math import comb
 from types import MappingProxyType
@@ -66,22 +69,25 @@ __all__ = [
 class BivariatePolynomial:
     """A polynomial in s and t with integer coefficients.
 
-    The constructor accepts any mapping from exponent pairs ``(i, j)`` to
-    integers; zero coefficients are dropped and negative exponents rejected.
-    The one arithmetic operation is multiplication, which returns a new
-    object.
+    The constructor accepts any mapping from exponent pairs ``(i, j)`` of
+    nonnegative ints to int coefficients, bool excluded; anything else raises
+    ``ValueError``, and zero coefficients are dropped.  The one arithmetic
+    operation is multiplication, which returns a new object.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         cleaned: dict[tuple[int, int], int] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent pair ({i}, {j})")
+        try:
+            for (i, j), c in (terms or {}).items():
+                # type() rather than isinstance(), which would take True as 1.
+                if type(i) is not int or type(j) is not int or type(c) is not int or i < 0 or j < 0:
+                    raise TypeError
                 if c:
-                    cleaned[(i, j)] = c
+                    cleaned[i, j] = c
+        except (TypeError, ValueError):
+            raise ValueError("terms must map pairs of nonnegative ints to ints") from None
         self._terms = cleaned
 
     @classmethod
@@ -90,14 +96,6 @@ class BivariatePolynomial:
         obj = object.__new__(cls)
         obj._terms = terms
         return obj
-
-    @classmethod
-    def zero(cls) -> "BivariatePolynomial":
-        return cls._raw({})
-
-    @classmethod
-    def constant(cls, c: int) -> "BivariatePolynomial":
-        return cls._raw({(0, 0): c} if c else {})
 
     @property
     def terms(self) -> Mapping[tuple[int, int], int]:
@@ -122,26 +120,14 @@ class BivariatePolynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BivariatePolynomial):
             return self._terms == other._terms
-        if isinstance(other, int):
-            return self._terms == ({(0, 0): other} if other else {})
         return NotImplemented
 
-    def __mul__(self, other: "BivariatePolynomial | int") -> "BivariatePolynomial":
-        other = _as_poly(other)
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return BivariatePolynomial._raw({})
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            # Single-monomial multiplier: exponent shift, no collisions.
-            ((di, dj), dc), = b.items()
-            return BivariatePolynomial._raw(
-                {(i + di, j + dj): c * dc for (i, j), c in a.items()}
-            )
+    def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
+        if not isinstance(other, BivariatePolynomial):
+            return NotImplemented
         out: dict[tuple[int, int], int] = {}
-        for (i2, j2), c2 in b.items():
-            for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in other._terms.items():
+            for (i1, j1), c1 in self._terms.items():
                 key = (i1 + i2, j1 + j2)
                 v = out.get(key, 0) + c1 * c2
                 if v:
@@ -149,8 +135,6 @@ class BivariatePolynomial:
                 elif key in out:
                     del out[key]
         return BivariatePolynomial._raw(out)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self._terms:
@@ -185,73 +169,36 @@ def _power(var: str, e: int) -> str:
     return f"{var}^{e}"
 
 
-def _as_poly(value: "BivariatePolynomial | int") -> BivariatePolynomial:
-    if isinstance(value, BivariatePolynomial):
-        return value
-    if isinstance(value, int):
-        return BivariatePolynomial.constant(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to a polynomial")
-
-
-_ZERO = BivariatePolynomial.zero()
+_ZERO = BivariatePolynomial._raw({})
 _BIG_ENDIAN = sys.byteorder == "big"
 # The signed array typecode of each item size in bytes (1, 2, 4 and 8).
 _SIGNED_TYPECODES = {array(code).itemsize: code for code in "lqihb"}
 
 
-class TruncatedSeries:
+class TruncatedSeries(namedtuple("TruncatedSeries", ("coefficients",))):
     """A power series in q truncated at order ``q_max``.
 
-    The coefficient of q^m is a :class:`BivariatePolynomial`, stored at index
-    m of the one stored field, a tuple of length ``q_max + 1``.  Series have
-    no arithmetic of their own: :func:`series_product` builds every product.
+    The record of its coefficients: the coefficient of q^m is a
+    :class:`BivariatePolynomial`, at index m of the tuple ``coefficients``,
+    which has length ``q_max + 1``.  Series have no arithmetic of their own:
+    :func:`series_product` builds every product.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
-    def __init__(self, q_max: int, coefficients: Iterable[BivariatePolynomial | int] = ()):
-        if q_max < 0:
-            raise ValueError("truncation order must be nonnegative")
-        coeffs = [_as_poly(c) for c in coefficients]
-        if len(coeffs) > q_max + 1:
-            raise ValueError(
-                f"{len(coeffs)} coefficients supplied for truncation order {q_max}"
-            )
-        coeffs.extend([_ZERO] * (q_max + 1 - len(coeffs)))
-        self._coeffs = tuple(coeffs)
-
-    @classmethod
-    def _raw(cls, coeffs: tuple[BivariatePolynomial, ...]) -> "TruncatedSeries":
-        obj = object.__new__(cls)
-        obj._coeffs = coeffs
-        return obj
-
-    @classmethod
-    def zero(cls, q_max: int) -> "TruncatedSeries":
-        return cls(q_max)
+    def __new__(cls, coefficients: Iterable[BivariatePolynomial]):
+        coefficients = tuple(coefficients)
+        if not coefficients or not all(isinstance(c, BivariatePolynomial) for c in coefficients):
+            raise ValueError("a series needs at least one coefficient, each a BivariatePolynomial")
+        return super().__new__(cls, coefficients)
 
     @property
     def q_max(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coefficients(self) -> tuple[BivariatePolynomial, ...]:
-        return self._coeffs
+        return len(self.coefficients) - 1
 
     def euler_sequence(self) -> tuple[int, ...]:
         """Integer sequence obtained by evaluating every coefficient at s = t = 1."""
-        return tuple(c.eval_one() for c in self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __str__(self) -> str:
-        body = " ; ".join(f"q^{m}: {c}" for m, c in enumerate(self._coeffs))
-        return f"TruncatedSeries[{body}]"
-
-    __repr__ = __str__
+        return tuple(c.eval_one() for c in self.coefficients)
 
 
 def series_product(
@@ -268,7 +215,8 @@ def series_product(
     finite."""
     if q_max < 0:
         raise ValueError("truncation order must be nonnegative")
-    start = _as_poly(start)
+    if not isinstance(start, BivariatePolynomial):
+        start = BivariatePolynomial({(0, 0): start})
     kept = []
     for a, b, k, e in factors:
         if k < 1:
@@ -329,7 +277,7 @@ def series_product(
         keys = [(r - half + j, j) for j, r in (divmod(n, width) for n in slots)]
     else:
         keys = [divmod(n, width) for n in slots]
-    return TruncatedSeries._raw(tuple(_unpack(v, bits, keys) for v in coeffs))
+    return TruncatedSeries(_unpack(v, bits, keys) for v in coeffs)
 
 
 def _coefficient_majorant(kept: list[tuple[int, int, int, int]], q_max: int) -> int:

@@ -137,16 +137,18 @@ def series_from_document(
     try:
         # The parsed document is dropped once the series is built, so that a
         # large entry is not held twice while it is rendered.
-        series = TruncatedSeries(q_max, [
+        series = TruncatedSeries(
             BivariatePolynomial({(t["i"], t["j"]): int(t["c"]) for t in entry["terms"]})
             for entry in json.loads(text)["coefficients"]
-        ])
+        )
         written = series_to_json(
             series, kind=kind, surface_doc=surface_doc, surface_name=surface_name, genus=genus
         )
     except _MALFORMED as exc:
         raise ValueError(f"not a Hodge series document: {exc!r}") from None
-    if text != written:
+    # The head is rendered with the series' own q_max, so a document of
+    # another truncation order would otherwise read back.
+    if series.q_max != q_max or text != written:
         raise ValueError("not the Hodge series document the writer renders for this request")
     return series
 

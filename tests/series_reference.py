@@ -1,8 +1,8 @@
 """Reference arithmetic for truncated series, in plain dicts.
 
 Tests check the packed engine ``series_product`` against products built here
-term by term.  Only the constructors, ``.coefficients`` and ``.terms`` are
-used, so the reference shares no code with the engine or with
+term by term.  Only the constructors, ``.q_max``, ``.coefficients`` and
+``.terms`` are used, so the reference shares no code with the engine or with
 ``BivariatePolynomial.__mul__``.
 """
 
@@ -23,9 +23,15 @@ def poly_mul(a, b):
     return BivariatePolynomial(_add_product({}, a, b))
 
 
+def padded(q_max, coefficients):
+    """The series with these leading coefficients, then zeros up to q^q_max."""
+    zeros = [BivariatePolynomial()] * (q_max + 1 - len(coefficients))
+    return TruncatedSeries([*coefficients, *zeros])
+
+
 def one(q_max):
     """The series 1 truncated at q_max."""
-    return TruncatedSeries(q_max, [1])
+    return padded(q_max, [BivariatePolynomial({(0, 0): 1})])
 
 
 def mul(x, y):
@@ -35,12 +41,12 @@ def mul(x, y):
     for u, a in enumerate(x.coefficients):
         for v, b in enumerate(y.coefficients[: x.q_max + 1 - u]):
             _add_product(out[u + v], a, b)
-    return TruncatedSeries(x.q_max, [BivariatePolynomial(terms) for terms in out])
+    return TruncatedSeries(BivariatePolynomial(terms) for terms in out)
 
 
 def scaled(series, factor):
     """Every coefficient of the series times the polynomial ``factor``."""
-    return TruncatedSeries(series.q_max, [poly_mul(c, factor) for c in series.coefficients])
+    return TruncatedSeries(poly_mul(c, factor) for c in series.coefficients)
 
 
 def goettsche_hilbert(grid, q_max):
@@ -76,4 +82,4 @@ def goettsche_hilbert(grid, q_max):
                     acc[key] = acc.get(key, 0) + c1 * c2
         assert all(c % m == 0 for c in acc.values()), m
         z.append({key: c // m for key, c in acc.items() if c})
-    return TruncatedSeries(q_max, [BivariatePolynomial(terms) for terms in z])
+    return TruncatedSeries(BivariatePolynomial(terms) for terms in z)

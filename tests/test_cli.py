@@ -545,7 +545,7 @@ def test_series_cache_not_written_when_crosscheck_fails(tmp_path, capsys, monkey
     argv = ("series", "hilb", "--surface", "p2", "--qmax", "3", "--cache", str(cache))
 
     def asymmetric(surface, q_max):
-        return TruncatedSeries(q_max, [BivariatePolynomial({(1, 0): 1})] * (q_max + 1))
+        return TruncatedSeries([BivariatePolynomial({(1, 0): 1})] * (q_max + 1))
 
     with monkeypatch.context() as patch:
         patch.setattr(formulas, "hilbert_hodge_series", asymmetric)

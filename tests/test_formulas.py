@@ -27,7 +27,7 @@ from fiberdt.geometry import (
 )
 from fiberdt.oracles import colored_partitions_count, nested_colored_count
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries, series_product
-from series_reference import goettsche_hilbert, mul, scaled
+from series_reference import goettsche_hilbert, mul, padded, scaled
 
 SURFACES = surface_names()
 
@@ -40,8 +40,9 @@ def surface(name):
 
 
 def test_hilbert_series_constant_term():
+    one = BivariatePolynomial({(0, 0): 1})
     for name in SURFACES:
-        assert hilbert_hodge_series(surface(name), 4).coefficients[0] == 1
+        assert hilbert_hodge_series(surface(name), 4).coefficients[0] == one
 
 
 def test_hilbert_series_linear_term_is_surface_class():
@@ -214,9 +215,9 @@ def test_ideal_sheaf_factorizes_through_nested_series():
 def extra_point_reference(base, e, q_max):
     """q/(1 - s t q) times e times the Hilbert product of the base, by generic
     series multiplication."""
-    chain = [0] + [BivariatePolynomial({(n - 1, n - 1): 1}) for n in range(1, q_max + 1)]
+    chain = [BivariatePolynomial({(n - 1, n - 1): 1}) for n in range(1, q_max + 1)]
     return mul(
-        mul(TruncatedSeries(q_max, [e]), TruncatedSeries(q_max, chain)),
+        mul(padded(q_max, [e]), TruncatedSeries([BivariatePolynomial(), *chain])),
         hilbert_hodge_series(base, q_max),
     )
 
@@ -391,7 +392,7 @@ def _with_extra_term(series, m, i, j):
     terms = dict(coeffs[m].terms)
     terms[i, j] = terms.get((i, j), 0) + 1
     coeffs[m] = BivariatePolynomial(terms)
-    return TruncatedSeries(series.q_max, coeffs)
+    return TruncatedSeries(coeffs)
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,10 @@ from fiberdt.polyseries import (
     TruncatedSeries,
     series_product,
 )
-from series_reference import mul, one, poly_mul, scaled
+from series_reference import mul, one, padded, poly_mul, scaled
 
 ONE = BivariatePolynomial({(0, 0): 1})
-ZERO = BivariatePolynomial.zero()
+ZERO = BivariatePolynomial()
 S = BivariatePolynomial({(1, 0): 1})
 T = BivariatePolynomial({(0, 1): 1})
 ST = BivariatePolynomial({(1, 1): 1})
@@ -61,6 +61,39 @@ def test_negative_exponent_rejected():
         poly({(-1, 0): 1})
 
 
+@pytest.mark.parametrize(
+    "terms",
+    (
+        {(0, 0): 0.5},
+        {(0.5, 1): 1},
+        {(0, 0): True},
+        {(True, 0): 1},
+        {(0, 1.0): 1},
+        {(0, 0): "1"},
+        {(0, 0, 0): 1},
+        {(0,): 1},
+        {0: 1},
+        {"ab": 1},
+    ),
+    ids=repr,
+)
+def test_constructor_takes_only_int_pairs_and_int_coefficients(terms):
+    # type() checks: a bool is not taken as 0 or 1, a float not as an int.
+    with pytest.raises(ValueError, match="pairs of nonnegative ints"):
+        BivariatePolynomial(terms)
+
+
+def test_polynomials_meet_no_int():
+    # Neither product nor equality coerces an int to a constant polynomial.
+    with pytest.raises(TypeError):
+        ONE * 2
+    with pytest.raises(TypeError):
+        2 * ONE
+    assert ONE != 1 and ZERO != 0
+    for gone in ("zero", "constant", "__rmul__"):
+        assert not hasattr(BivariatePolynomial, gone)
+
+
 def test_eval_one_k3():
     k3 = poly({(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1})
     assert k3.eval_one() == 24
@@ -92,8 +125,15 @@ def test_swap_variables_is_multiplicative(a, b):
 
 
 def test_series_coefficient_layout():
-    s = TruncatedSeries(3, [ONE, ST])
+    s = TruncatedSeries(iter([ONE, ST, ZERO, ZERO]))
     assert s.coefficients == (ONE, ST, ZERO, ZERO)
+    assert s.q_max == 3
+
+
+@pytest.mark.parametrize("coefficients", ([], [ONE, 0], [1], [{(0, 0): 1}]), ids=repr)
+def test_series_takes_one_or_more_polynomials(coefficients):
+    with pytest.raises(ValueError, match="at least one coefficient, each a BivariatePolynomial"):
+        TruncatedSeries(coefficients)
 
 
 # --- factor expansion -------------------------------------------------------
@@ -108,12 +148,12 @@ def hand_factor(a, b, k, e, q_max):
         c = comb(e - 1 + n, n) if e >= 0 else (-1) ** n * comb(-e, n)
         coeffs[n * k] = poly({(a * n, b * n): c})
         n += 1
-    return TruncatedSeries(q_max, coeffs)
+    return TruncatedSeries(coeffs)
 
 
 def test_series_factor_geometric():
     f = series_product([(1, 1, 1, 1)], 2)
-    assert f == TruncatedSeries(2, [ONE, ST, poly({(2, 2): 1})])
+    assert f == TruncatedSeries([ONE, ST, poly({(2, 2): 1})])
 
 
 def test_series_factor_trivial_exponent():
@@ -148,7 +188,10 @@ def test_series_product_empty():
 
 
 def test_series_product_start_is_keyword_only():
-    assert series_product([], 2, start=ST) == TruncatedSeries(2, [ST])
+    assert series_product([], 2, start=ST) == padded(2, [ST])
+    # An int start is the constant polynomial; the Euler route seeds with e(X).
+    assert series_product([], 2, start=-3) == padded(2, [poly({(0, 0): -3})])
+    assert series_product([], 2, start=0) == padded(2, [])
     with pytest.raises(TypeError):
         series_product([], 2, ST)
 
@@ -156,8 +199,7 @@ def test_series_product_start_is_keyword_only():
 def test_series_product_single_factor():
     # (1 - s t q^2) ** -3 = 1 + 3 s t q^2 + 6 s^2 t^2 q^4 + 10 s^3 t^3 q^6
     expected = TruncatedSeries(
-        6,
-        [ONE, ZERO, 3 * ST, ZERO, poly({(2, 2): 6}), ZERO, poly({(3, 3): 10})],
+        [ONE, ZERO, poly({(1, 1): 3}), ZERO, poly({(2, 2): 6}), ZERO, poly({(3, 3): 10})]
     )
     assert series_product([(1, 1, 2, 3)], 6) == expected
     assert series_product([(1, 1, 2, 3)], 6) == hand_factor(1, 1, 2, 3, 6)

@@ -15,8 +15,11 @@ from fiberdt.localhom import (
     standard_monomials,
 )
 from fiberdt.oracles import Partition, partitions_of
+from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
 
 K3 = registry_lookup("k3")
+ONE = BivariatePolynomial({(0, 0): 1})
+SERIES = TruncatedSeries([ONE, BivariatePolynomial({(1, 1): -2})])
 
 
 def test_monomial_ideal_construction_and_default():
@@ -123,11 +126,13 @@ def _records():
         FibrationSpec(K3, 1, True),
         Partition((2, 1)),
         HodgeDiamond([[1, 0, 1], [0, 20, 0], [1, 0, 1]]),
+        TruncatedSeries([ONE, BivariatePolynomial({(1, 1): -2})]),
     )
 
 
 @pytest.mark.parametrize(
-    "index, field", ((0, "gens"), (1, "basis"), (2, "fiber_genus"), (3, "parts"), (4, "grid"))
+    "index, field",
+    ((0, "gens"), (1, "basis"), (2, "fiber_genus"), (3, "parts"), (4, "grid"), (5, "coefficients")),
 )
 def test_records_are_frozen(index, field):
     record = _records()[index]
@@ -166,6 +171,15 @@ def test_equal_records_hash_equal(index):
     assert hash(first) == hash(second)
 
 
+def test_equal_series_are_equal_and_unhashable():
+    # A polynomial defines equality but no hash, so its series has none either.
+    first, second = _records()[5], _records()[5]
+    assert first == second
+    for value in (first, ONE):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_repr_keeps_the_dataclass_form():
     assert repr(MonomialIdeal(((1, 0, 0), (0, 1, 0)))) == (
         "MonomialIdeal(gens=((1, 0, 0), (0, 1, 0)))"
@@ -175,6 +189,10 @@ def test_repr_keeps_the_dataclass_form():
     )
     assert repr(Partition((2, 1))) == "Partition(parts=(2, 1))"
     assert repr(K3) == "HodgeDiamond(grid=((1, 0, 1), (0, 20, 0), (1, 0, 1)))"
+    assert repr(SERIES) == (
+        "TruncatedSeries(coefficients=(BivariatePolynomial({(0, 0): 1}), "
+        "BivariatePolynomial({(1, 1): -2})))"
+    )
     solution = hom_dimension(LINE_IDEAL, 0)
     assert repr(solution) == (
         f"HomSolution(ideal={LINE_IDEAL!r}, d_max=0, basis=((0, 0, 0),), "
@@ -201,4 +219,25 @@ def test_hodge_diamond_pickle_round_trip_validates(protocol):
     unchecked = HodgeDiamond._make([((2,),)])
     data = pickle.dumps(unchecked, protocol)
     with pytest.raises(InvalidDiamond, match=r"h\^\{0,0\} = 1"):
+        pickle.loads(data)
+
+
+def test_truncated_series_construction():
+    assert TruncatedSeries._fields == ("coefficients",)
+    coefficients = list(SERIES.coefficients)
+    for series in (TruncatedSeries(coefficients), TruncatedSeries(coefficients=iter(coefficients))):
+        assert series == SERIES
+        assert type(series.coefficients) is tuple
+    assert SERIES.q_max == 1
+    with pytest.raises(TypeError):
+        TruncatedSeries(SERIES.coefficients, 1)
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_truncated_series_pickle_round_trip_validates(protocol):
+    assert pickle.loads(pickle.dumps(SERIES, protocol)) == SERIES
+    # _make skips __new__, so it can hold a coefficient that validation rejects.
+    unchecked = TruncatedSeries._make([(ONE, 0)])
+    data = pickle.dumps(unchecked, protocol)
+    with pytest.raises(ValueError, match="each a BivariatePolynomial"):
         pickle.loads(data)

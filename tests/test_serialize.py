@@ -8,6 +8,7 @@ from fiberdt import formulas
 from fiberdt.formulas import nested_hodge_series
 from fiberdt.geometry import FibrationSpec, HodgeDiamond, registry_lookup
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
+from series_reference import one
 
 
 def sample_series():
@@ -87,7 +88,7 @@ def reference_euler_document(values, *, kind, surface_doc, surface_name=None, ge
 
 def test_polynomial_terms_sorted_and_stringly():
     poly = BivariatePolynomial({(2, 0): -7, (0, 0): 1, (1, 1): 10**30})
-    series = TruncatedSeries(0, [poly])
+    series = TruncatedSeries([poly])
     text = serialize.series_to_json(series, kind="hilb", surface_doc=None)
     terms = json.loads(text)["coefficients"][0]["terms"]
     assert terms == [
@@ -116,7 +117,7 @@ def test_document_labels():
     series = sample_series()
     doc = written(series, kind="incidence", surface_doc=registry_lookup("k3").to_json())
     assert [entry["m"] for entry in doc["coefficients"]] == [None, 0, 1, 2]
-    hilb_doc = written(TruncatedSeries(2, [1]), kind="hilb", surface_doc=None)
+    hilb_doc = written(one(2), kind="hilb", surface_doc=None)
     assert [entry["m"] for entry in hilb_doc["coefficients"]] == [None, None, None]
 
 
@@ -143,6 +144,12 @@ def test_document_labels():
         pytest.param(lambda d: d["coefficients"][1]["terms"][2].update(i=1.0), id="float-exponent"),
         pytest.param(lambda d: d.update(surface_name=["k3"]), id="list-surface_name"),
         pytest.param(lambda d: d.pop("checksum"), id="no-checksum"),
+        # Another number of coefficient entries than the request's q_max + 1.
+        pytest.param(lambda d: d["coefficients"].pop(1), id="entry-dropped"),
+        pytest.param(
+            lambda d: d["coefficients"].append({"m": 3, "q": 4, "terms": []}), id="entry-added"
+        ),
+        pytest.param(lambda d: d["coefficients"].clear(), id="no-entries"),
     ),
 )
 def test_series_reader_rejects_what_the_writer_cannot_emit(edit):
@@ -155,26 +162,27 @@ def test_series_reader_rejects_what_the_writer_cannot_emit(edit):
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "field, value, message",
     (
-        pytest.param("c", "+1", id="plus-c"),
-        pytest.param("c", " 1", id="space-c"),
-        pytest.param("c", "01", id="leading-zero-c"),
-        pytest.param("c", "\u0661", id="non-ascii-c"),
-        pytest.param("c", 1, id="integer-c"),
-        pytest.param("i", 0.0, id="float-exponent"),
-        pytest.param("i", False, id="bool-exponent"),
-        pytest.param("x", 1, id="extra-term-key"),
+        pytest.param("c", "+1", "writer", id="plus-c"),
+        pytest.param("c", " 1", "writer", id="space-c"),
+        pytest.param("c", "01", "writer", id="leading-zero-c"),
+        pytest.param("c", "\u0661", "writer", id="non-ascii-c"),
+        pytest.param("c", 1, "writer", id="integer-c"),
+        pytest.param("i", 0.0, "pairs of nonnegative ints", id="float-exponent"),
+        pytest.param("i", False, "pairs of nonnegative ints", id="bool-exponent"),
+        pytest.param("x", 1, "writer", id="extra-term-key"),
     ),
 )
-def test_series_reader_rejects_a_respelled_entry_under_the_writers_checksum(field, value):
+def test_series_reader_rejects_a_respelled_entry_under_the_writers_checksum(field, value, message):
     # Each edit keeps the coefficient, so the writer's rendering of the rebuilt
-    # series, checksum included, still matches the document everywhere but in
-    # the respelled entry.
+    # series, checksum included, would match the document everywhere but in
+    # the respelled entry.  A float or bool exponent is not even rebuilt: the
+    # polynomial constructor takes only ints.
     doc = written(sample_series(), kind="incidence", surface_doc=None)
     assert doc["coefficients"][1]["terms"][0] == {"c": "1", "i": 0, "j": 0}
     doc["coefficients"][1]["terms"][0][field] = value
-    with pytest.raises(ValueError, match="writer"):
+    with pytest.raises(ValueError, match=message):
         serialize.series_from_document(writer_layout(doc), **SAMPLE_REQUEST)
 
 
@@ -237,7 +245,7 @@ def test_csv_round_trip_with_zero_coefficients():
     terms = [{} for _ in series.coefficients]
     for q, _, i, j, c in rows[1:]:
         terms[int(q)][int(i), int(j)] = int(c)
-    assert TruncatedSeries(series.q_max, [BivariatePolynomial(t) for t in terms]) == series
+    assert TruncatedSeries(BivariatePolynomial(t) for t in terms) == series
 
 
 def test_euler_csv_round_trip():
@@ -261,6 +269,16 @@ def test_series_document_rejects_gaps():
     with_checksum(doc)
     with pytest.raises(ValueError, match="writer"):
         serialize.series_from_document(writer_layout(doc), **SAMPLE_REQUEST)
+
+
+def test_series_reader_rejects_a_document_of_another_q_max():
+    # The q_max = 3 document is the writer's bytes for its own request, and the
+    # writer renders the head with the series' q_max: only the reader's own
+    # check tells it from the q_max = 5 document.
+    text = serialize.series_to_json(sample_series(), kind="incidence", surface_doc=None)
+    assert serialize.series_from_document(text, **SAMPLE_REQUEST) == sample_series()
+    with pytest.raises(ValueError, match="writer"):
+        serialize.series_from_document(text, **{**SAMPLE_REQUEST, "q_max": 5})
 
 
 @pytest.mark.parametrize("q_max", (0, 1, 21))
@@ -290,9 +308,11 @@ def test_dump_series_document_equals_json_dumps(surface_name, kind, q_max):
 
 
 def test_dump_series_document_negative_and_zero_coefficients():
-    series = TruncatedSeries(
-        2, [BivariatePolynomial({(0, 0): -1, (3, 1): -(10**40)}), 0, BivariatePolynomial({(1, 1): 5})]
-    )
+    series = TruncatedSeries([
+        BivariatePolynomial({(0, 0): -1, (3, 1): -(10**40)}),
+        BivariatePolynomial(),
+        BivariatePolynomial({(1, 1): 5}),
+    ])
     doc = reference_document(series, kind="im1", surface_doc=None, genus=2)
     assert doc["coefficients"][1]["terms"] == []
     text = serialize.series_to_json(series, kind="im1", surface_doc=None, genus=2)
