@@ -33,11 +33,9 @@ _SOURCES = {
         "dt_table",
         "euler_sequence",
         "hilbert_euler_direct",
-        "hilbert_hodge_series",
+        "hodge_series",
         "ideal_sheaf_euler_direct",
-        "ideal_sheaf_hodge_series",
         "moduli_dimension",
-        "nested_hodge_series",
         "verify_series",
     ),
     "localhom": (

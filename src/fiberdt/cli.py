@@ -200,7 +200,7 @@ def _resolve_surface(token: str):
 def _cmd_series(args) -> None:
     import hashlib
 
-    from . import serialize
+    from . import formulas, serialize
     from .geometry import FibrationSpec
 
     kind = args.kind
@@ -227,8 +227,6 @@ def _cmd_series(args) -> None:
         "kind": kind, "surface_doc": surface.to_json(), "surface_name": name, "genus": args.genus
     }
     if args.euler:  # builds no Hodge series, so no cache entry is read or written
-        from . import formulas
-
         values = formulas.euler_sequence(kind, geometry, args.q_max)
         if args.format == "json":
             text = serialize.euler_to_json(values, **request)
@@ -253,7 +251,7 @@ def _cmd_series(args) -> None:
             hodge_json = None  # not held through the render of another format
     write_entry = path is not None and series is None
     if series is None:
-        series = _compute_series(kind, geometry, args.q_max)
+        series = formulas.hodge_series(kind, geometry, args.q_max)
     _crosscheck_series(kind, geometry, series)
 
     # The Hodge JSON is rendered at most once: a hit that emits it emits the
@@ -280,16 +278,6 @@ def _cmd_series(args) -> None:
             series.coefficients, kind=kind, surface_name=name, euler=False
         )
     _emit(text, args.out)
-
-
-def _compute_series(kind: str, geometry, q_max: int):
-    from . import formulas
-
-    if kind == "hilb":
-        return formulas.hilbert_hodge_series(geometry, q_max)
-    if kind == "incidence":
-        return formulas.nested_hodge_series(geometry, q_max)
-    return formulas.ideal_sheaf_hodge_series(geometry, q_max)
 
 
 def _crosscheck_series(kind, geometry, series) -> None:

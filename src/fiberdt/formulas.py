@@ -2,6 +2,12 @@
 and the one-extra-point ideal-sheaf moduli of a curve-fibered 3-fold, plus
 their Euler specializations and the resulting Donaldson-Thomas numbers.
 
+Each series has a kind ("hilb", "incidence" or "im1") and is built from a
+geometry (a surface, or for "im1" a fibration over one).  Three functions
+take the same (kind, geometry) pair by one rule: :func:`hodge_series` builds
+the Hodge series, :func:`euler_sequence` its Euler numbers, and
+:func:`verify_series` checks a Hodge series.
+
 Index convention: the nested and ideal-sheaf series carry an overall factor
 of q, so their q^0 coefficient vanishes and the coefficient of q^(m+1) is the
 class of the space labelled m.  The convention is anchored by the m = 0
@@ -24,9 +30,7 @@ from .geometry import FibrationSpec, HodgeDiamond
 from .polyseries import BivariatePolynomial, TruncatedSeries, series_product
 
 __all__ = [
-    "hilbert_hodge_series",
-    "nested_hodge_series",
-    "ideal_sheaf_hodge_series",
+    "hodge_series",
     "euler_sequence",
     "moduli_dimension",
     "dt_table",
@@ -35,11 +39,6 @@ __all__ = [
     "ideal_sheaf_euler_direct",
     "verify_series",
 ]
-
-
-def _require_surface(diamond: HodgeDiamond) -> None:
-    if diamond.dim != 2:
-        raise ValueError(f"expected a surface diamond, got dimension {diamond.dim}")
 
 
 def _surface_factors(surface: HodgeDiamond, q_max: int):
@@ -54,17 +53,6 @@ def _surface_factors(surface: HodgeDiamond, q_max: int):
             yield (i + k - 1, j + k - 1, k, e)
 
 
-def hilbert_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
-    """Hodge-polynomial series of the Hilbert schemes of points of a surface.
-
-    The coefficient of q^m is e of the Hilbert scheme of m points; in
-    particular the q^0 coefficient is 1 and the q^1 coefficient is e of the
-    surface itself.
-    """
-    _require_surface(surface)
-    return series_product(_surface_factors(surface, q_max), q_max)
-
-
 def _extra_point_series(factors, e, q_max: int) -> TruncatedSeries:
     # q times e times the product of the factors; after the shift by q only
     # the product's terms below q^q_max survive.  e seeds the packed product
@@ -73,43 +61,46 @@ def _extra_point_series(factors, e, q_max: int) -> TruncatedSeries:
     return TruncatedSeries((BivariatePolynomial(), *product))
 
 
-def nested_hodge_series(surface: HodgeDiamond, q_max: int) -> TruncatedSeries:
-    """Hodge series of the nested Hilbert schemes (pairs of subschemes of
-    lengths m and m + 1, one inside the other).
-
-    Equals q/(1 - s t q) times e(surface) times the Hilbert-scheme product;
-    the coefficient of q^(m+1) is the class of the (m, m+1) nested space.
-    """
-    _require_surface(surface)
-    factors = [(1, 1, 1, 1), *_surface_factors(surface, q_max - 1)]
-    return _extra_point_series(factors, surface.e_polynomial(), q_max)
-
-
-def ideal_sheaf_hodge_series(fibration: FibrationSpec, q_max: int) -> TruncatedSeries:
-    """Hodge series of the one-extra-point ideal-sheaf moduli spaces of the
-    fibered 3-fold.
-
-    Same shape as :func:`nested_hodge_series` with e(surface) replaced by e of
-    the total space; the coefficient of q^(m+1) is the class of the moduli
-    space labelled m (m fiber curves plus one floating point).
-    """
-    factors = [(1, 1, 1, 1), *_surface_factors(fibration.base, q_max - 1)]
-    return _extra_point_series(factors, fibration.e_polynomial(), q_max)
-
-
-def _surface_and_direct(kind: str, geometry, q_max: int):
-    """(e(S), e of ``geometry``, direct integer Euler series) of the series of
-    the given kind built from ``geometry``: a surface :class:`HodgeDiamond`
-    for "hilb" and "incidence", a :class:`FibrationSpec` for "im1".  Another
-    kind or geometry raises ``ValueError``."""
+def _series_surface(kind: str, geometry) -> HodgeDiamond:
+    """The surface S of the series of the given kind built from ``geometry``:
+    a surface :class:`HodgeDiamond` for "hilb" and "incidence", a
+    :class:`FibrationSpec` over S for "im1".  Another kind or geometry raises
+    ``ValueError``."""
     if kind not in ("hilb", "incidence", "im1"):
         raise ValueError(f"unknown series kind {kind!r}")
     if isinstance(geometry, FibrationSpec) != (kind == "im1"):
         wanted = "a FibrationSpec" if kind == "im1" else "a surface HodgeDiamond"
         raise ValueError(f"{kind} series are built from {wanted}")
     surface = geometry.base if kind == "im1" else geometry
-    _require_surface(surface)
-    chi_s, chi = surface.euler_number(), geometry.euler_number()
+    if surface.dim != 2:
+        raise ValueError(f"expected a surface diamond, got dimension {surface.dim}")
+    return surface
+
+
+def hodge_series(
+    kind: str, geometry: HodgeDiamond | FibrationSpec, q_max: int
+) -> TruncatedSeries:
+    """Hodge-polynomial series of the given kind, truncated at q^q_max.
+
+    "hilb" is the product of the :func:`_surface_factors` of the surface S;
+    its coefficient of q^m is e of the Hilbert scheme of m points.
+    "incidence" (nested Hilbert schemes) and "im1" (ideal-sheaf moduli of the
+    fibered 3-fold X) are q/(1 - s t q) times e(S), respectively e(X), times
+    that product; the coefficient of q^(m+1) is the class of the space
+    labelled m.  ``kind`` and ``geometry`` are taken as by
+    :func:`verify_series`, which checks the result; this function does not.
+    """
+    surface = _series_surface(kind, geometry)
+    if kind == "hilb":
+        return series_product(_surface_factors(surface, q_max), q_max)
+    factors = [(1, 1, 1, 1), *_surface_factors(surface, q_max - 1)]
+    return _extra_point_series(factors, geometry.e_polynomial(), q_max)
+
+
+def _surface_and_direct(kind: str, geometry, q_max: int):
+    """(e(S), e of ``geometry``, direct integer Euler series) of the series of
+    the given kind built from ``geometry``, taken as by :func:`hodge_series`."""
+    chi_s, chi = _series_surface(kind, geometry).euler_number(), geometry.euler_number()
     if kind == "hilb":
         return chi_s, chi, hilbert_euler_direct(chi_s, q_max)
     return chi_s, chi, ideal_sheaf_euler_direct(chi, chi_s, q_max)

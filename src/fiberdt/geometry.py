@@ -78,11 +78,6 @@ class HodgeDiamond(namedtuple("HodgeDiamond", ("grid",))):
     def dim(self) -> int:
         return len(self.grid) - 1
 
-    def hodge(self, i: int, j: int) -> int:
-        if not (0 <= i <= self.dim and 0 <= j <= self.dim):
-            raise ValueError(f"Hodge indices ({i}, {j}) outside 0..{self.dim}")
-        return self.grid[i][j]
-
     def e_polynomial(self) -> BivariatePolynomial:
         """sum of (-1)^(i+j) h^{i,j} s^i t^j over the diamond."""
         terms = {}

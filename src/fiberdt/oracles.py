@@ -42,10 +42,6 @@ class Partition(namedtuple("Partition", ("parts",))):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         return super().__new__(cls, parts)
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
 
 def partitions_of(m: int) -> list[Partition]:
     """All partitions of m, generated by recursion on the largest part."""

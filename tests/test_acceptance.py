@@ -12,10 +12,8 @@ from fiberdt.formulas import (
     dt_invariant,
     euler_sequence,
     hilbert_euler_direct,
-    hilbert_hodge_series,
+    hodge_series,
     ideal_sheaf_euler_direct,
-    ideal_sheaf_hodge_series,
-    nested_hodge_series,
 )
 from fiberdt.geometry import (
     FibrationSpec,
@@ -66,11 +64,11 @@ def test_criterion_2_hodge_series_anchor():
     with criterion(2, "q^1 coefficients equal the surface and 3-fold classes"):
         for name in SURFACES:
             surface = registry_lookup(name)
-            assert nested_hodge_series(surface, 2).coefficients[1] == surface.e_polynomial()
+            assert hodge_series("incidence", surface, 2).coefficients[1] == surface.e_polynomial()
             for genus in GENERA:
                 fibration = FibrationSpec.from_surface_name(name, genus)
                 expected = curve_diamond(genus).e_polynomial() * surface.e_polynomial()
-                assert ideal_sheaf_hodge_series(fibration, 2).coefficients[1] == expected
+                assert hodge_series("im1", fibration, 2).coefficients[1] == expected
 
 
 def test_criterion_3_euler_oracle_equivalence():
@@ -80,7 +78,7 @@ def test_criterion_3_euler_oracle_equivalence():
             surface = surface_with_euler_number(chi)
             assert surface.euler_number() == chi
             hilbert = euler_sequence("hilb", surface, 6)
-            nested = nested_hodge_series(surface, 7).euler_sequence()
+            nested = hodge_series("incidence", surface, 7).euler_sequence()
             for m in range(7):
                 assert hilbert[m] == colored_partitions_count(chi, m), (chi, m)
                 assert nested[m + 1] == nested_colored_count(chi, m), (chi, m)
@@ -109,7 +107,7 @@ def test_criterion_5_specialization_consistency():
             chi = surface.euler_number()
             assert euler_sequence("hilb", surface, q_max) == hilbert_euler_direct(chi, q_max)
             assert (
-                nested_hodge_series(surface, q_max).euler_sequence()
+                hodge_series("incidence", surface, q_max).euler_sequence()
                 == ideal_sheaf_euler_direct(chi, chi, q_max)
             )
             for genus in GENERA:
@@ -136,7 +134,7 @@ def test_criterion_7_invariant_suites():
         diamonds = [HodgeDiamond([[1]]), curve_diamond(0), curve_diamond(2)]
         for diamond in diamonds + [registry_lookup(name) for name in SURFACES]:
             direct = sum(
-                (-1) ** (i + j) * diamond.hodge(i, j)
+                (-1) ** (i + j) * diamond.grid[i][j]
                 for i in range(diamond.dim + 1)
                 for j in range(diamond.dim + 1)
             )
@@ -145,9 +143,9 @@ def test_criterion_7_invariant_suites():
         # s/t symmetry of every coefficient of every emitted series
         for name in SURFACES:
             surface = registry_lookup(name)
-            all_series = [hilbert_hodge_series(surface, 6), nested_hodge_series(surface, 6)]
+            all_series = [hodge_series("hilb", surface, 6), hodge_series("incidence", surface, 6)]
             all_series += [
-                ideal_sheaf_hodge_series(FibrationSpec.from_surface_name(name, g), 6)
+                hodge_series("im1", FibrationSpec.from_surface_name(name, g), 6)
                 for g in GENERA
             ]
             for series in all_series:

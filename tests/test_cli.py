@@ -116,14 +116,14 @@ def test_series_json_round_trip(capsys):
         out, kind="incidence", surface_doc=registry_lookup("p1xp1").to_json(),
         surface_name="p1xp1", genus=None, q_max=4,
     )
-    expected = formulas.nested_hodge_series(registry_lookup("p1xp1"), 4)
+    expected = formulas.hodge_series("incidence", registry_lookup("p1xp1"), 4)
     assert parsed == expected
 
 
 def test_series_csv_round_trip(capsys):
     code, out, _ = run(capsys, "series", "hilb", "--surface", "k3", "--qmax", "3", "--format", "csv")
     assert code == 0
-    series = formulas.hilbert_hodge_series(registry_lookup("k3"), 3)
+    series = formulas.hodge_series("hilb", registry_lookup("k3"), 3)
     assert out == serialize.series_to_csv(series, kind="hilb")
 
 
@@ -162,7 +162,7 @@ def hodge_route_euler_output(kind, name, genus, q_max, fmt):
     """The --euler output as rendered from the Hodge series at s = t = 1."""
     surface = registry_lookup(name)
     geometry = surface if genus is None else FibrationSpec(surface, genus)
-    values = cli._compute_series(kind, geometry, q_max).euler_sequence()
+    values = formulas.hodge_series(kind, geometry, q_max).euler_sequence()
     if fmt == "json":
         return serialize.euler_to_json(
             values, kind=kind, surface_doc=surface.to_json(), surface_name=name, genus=genus
@@ -210,8 +210,6 @@ def test_series_euler_leaves_the_cache_untouched(tmp_path, capsys):
         assert cache_state(cache) == before
 
 
-HODGE_SERIES_FUNCTIONS = ("hilbert_hodge_series", "nested_hodge_series", "ideal_sheaf_hodge_series")
-
 # sha256 of `series hilb --surface abelian --qmax 50 --euler --format json` as
 # rendered from the Hodge series at s = t = 1.
 ABELIAN_Q50_EULER_SHA256 = "5f7ec995a40b45845d7ff00c22b708fc900a966854947aed0d95b5ef41460c5a"
@@ -221,8 +219,7 @@ def test_euler_requests_build_no_hodge_series(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a Hodge series was built")
 
-    for attr in HODGE_SERIES_FUNCTIONS:
-        monkeypatch.setattr(formulas, attr, refuse)
+    monkeypatch.setattr(formulas, "hodge_series", refuse)
     target = tmp_path / "euler.json"
     argv = ("series", "hilb", "--surface", "abelian", "--qmax", "50", "--euler", "--format", "json")
     assert cli.main([*argv, "--out", str(target)]) == 0
@@ -288,7 +285,7 @@ def test_series_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert out == ""
-    series = formulas.hilbert_hodge_series(registry_lookup("p2"), 2)
+    series = formulas.hodge_series("hilb", registry_lookup("p2"), 2)
     assert target.read_text() == serialize.series_to_csv(series, kind="hilb")
 
 
@@ -544,11 +541,11 @@ def test_series_cache_not_written_when_crosscheck_fails(tmp_path, capsys, monkey
     cache.mkdir()
     argv = ("series", "hilb", "--surface", "p2", "--qmax", "3", "--cache", str(cache))
 
-    def asymmetric(surface, q_max):
+    def asymmetric(kind, geometry, q_max):
         return TruncatedSeries([BivariatePolynomial({(1, 0): 1})] * (q_max + 1))
 
     with monkeypatch.context() as patch:
-        patch.setattr(formulas, "hilbert_hodge_series", asymmetric)
+        patch.setattr(formulas, "hodge_series", asymmetric)
         code, _, err = run(capsys, *argv)
     assert code == 3
     assert "symmetric" in err

@@ -10,11 +10,9 @@ from fiberdt.formulas import (
     dt_table,
     euler_sequence,
     hilbert_euler_direct,
-    hilbert_hodge_series,
+    hodge_series,
     ideal_sheaf_euler_direct,
-    ideal_sheaf_hodge_series,
     moduli_dimension,
-    nested_hodge_series,
     verify_series,
 )
 from fiberdt.geometry import (
@@ -42,19 +40,19 @@ def surface(name):
 def test_hilbert_series_constant_term():
     one = BivariatePolynomial({(0, 0): 1})
     for name in SURFACES:
-        assert hilbert_hodge_series(surface(name), 4).coefficients[0] == one
+        assert hodge_series("hilb", surface(name), 4).coefficients[0] == one
 
 
 def test_hilbert_series_linear_term_is_surface_class():
     for name in SURFACES:
         S = surface(name)
-        assert hilbert_hodge_series(S, 4).coefficients[1] == S.e_polynomial()
+        assert hodge_series("hilb", S, 4).coefficients[1] == S.e_polynomial()
 
 
 @pytest.mark.parametrize("name", SURFACES)
 def test_hilbert_series_matches_goettsche_plethystic_form(name):
     S = surface(name)
-    assert hilbert_hodge_series(S, 16) == goettsche_hilbert(S.grid, 16)
+    assert hodge_series("hilb", S, 16) == goettsche_hilbert(S.grid, 16)
 
 
 def test_hilbert_series_matches_goettsche_on_seeded_diamonds():
@@ -62,7 +60,7 @@ def test_hilbert_series_matches_goettsche_on_seeded_diamonds():
     for _ in range(12):
         h10, h20, h11 = rng.randrange(4), rng.randrange(4), rng.randrange(1, 25)
         S = HodgeDiamond([[1, h10, h20], [h10, h11, h10], [h20, h10, 1]])
-        assert hilbert_hodge_series(S, 12) == goettsche_hilbert(S.grid, 12), S
+        assert hodge_series("hilb", S, 12) == goettsche_hilbert(S.grid, 12), S
 
 
 def signed_grid_factors(S, q_max):
@@ -70,11 +68,11 @@ def signed_grid_factors(S, q_max):
     each k and each (i, j) in row-major order, with no factor where h^{i,j}
     is 0."""
     return [
-        (i + k - 1, j + k - 1, k, (-1) ** (i + j) * S.hodge(i, j))
+        (i + k - 1, j + k - 1, k, (-1) ** (i + j) * S.grid[i][j])
         for k in range(1, q_max + 1)
         for i in range(3)
         for j in range(3)
-        if S.hodge(i, j)
+        if S.grid[i][j]
     ]
 
 
@@ -125,7 +123,7 @@ def test_hilbert_two_points_k3_hodge_numbers():
             (4, 4): 1,
         }
     )
-    assert hilbert_hodge_series(surface("k3"), 2).coefficients[2] == expected
+    assert hodge_series("hilb", surface("k3"), 2).coefficients[2] == expected
 
 
 def betti_numbers(poly):
@@ -150,7 +148,7 @@ def betti_numbers(poly):
     ],
 )
 def test_hilbert_scheme_betti_numbers(name, n, betti, euler):
-    coefficient = hilbert_hodge_series(surface(name), n).coefficients[n]
+    coefficient = hodge_series("hilb", surface(name), n).coefficients[n]
     assert betti_numbers(coefficient) == betti
     assert coefficient.eval_one() == euler == sum((-1) ** k * b for k, b in enumerate(betti))
 
@@ -163,9 +161,9 @@ def test_hilbert_euler_single_values():
 
 def test_hilbert_requires_surface():
     with pytest.raises(ValueError, match="surface"):
-        hilbert_hodge_series(curve_diamond(1), 3)
+        hodge_series("hilb", curve_diamond(1), 3)
     with pytest.raises(ValueError, match="surface"):
-        nested_hodge_series(HodgeDiamond([[1]]), 3)
+        hodge_series("incidence", HodgeDiamond([[1]]), 3)
 
 
 # --- nested series -----------------------------------------------------------
@@ -173,18 +171,18 @@ def test_hilbert_requires_surface():
 
 def test_nested_series_constant_term_vanishes():
     for name in SURFACES:
-        assert not nested_hodge_series(surface(name), 3).coefficients[0]
+        assert not hodge_series("incidence", surface(name), 3).coefficients[0]
 
 
 def test_nested_series_linear_term_is_surface_class():
     for name in SURFACES:
         S = surface(name)
-        assert nested_hodge_series(S, 3).coefficients[1] == S.e_polynomial()
+        assert hodge_series("incidence", S, 3).coefficients[1] == S.e_polynomial()
 
 
 def test_nested_euler_matches_oracle():
     S = surface("p2")
-    values = nested_hodge_series(S, 5).euler_sequence()
+    values = hodge_series("incidence", S, 5).euler_sequence()
     for m in range(4):
         assert values[m + 1] == nested_colored_count(3, m)
 
@@ -196,7 +194,7 @@ def test_ideal_sheaf_linear_term_is_threefold_class():
     for name in SURFACES:
         for g in (0, 1, 2):
             fib = FibrationSpec.from_surface_name(name, g)
-            series = ideal_sheaf_hodge_series(fib, 3)
+            series = hodge_series("im1", fib, 3)
             assert series.coefficients[1] == fib.e_polynomial()
             assert not series.coefficients[0]
 
@@ -208,8 +206,9 @@ def test_ideal_sheaf_factorizes_through_nested_series():
     for name in SURFACES:
         for g in (0, 1, 2):
             fib = FibrationSpec.from_surface_name(name, g)
-            via_nested = scaled(nested_hodge_series(fib.base, 5), curve_diamond(g).e_polynomial())
-            assert ideal_sheaf_hodge_series(fib, 5) == via_nested
+            nested = hodge_series("incidence", fib.base, 5)
+            via_nested = scaled(nested, curve_diamond(g).e_polynomial())
+            assert hodge_series("im1", fib, 5) == via_nested
 
 
 def extra_point_reference(base, e, q_max):
@@ -218,7 +217,7 @@ def extra_point_reference(base, e, q_max):
     chain = [BivariatePolynomial({(n - 1, n - 1): 1}) for n in range(1, q_max + 1)]
     return mul(
         mul(padded(q_max, [e]), TruncatedSeries([BivariatePolynomial(), *chain])),
-        hilbert_hodge_series(base, q_max),
+        hodge_series("hilb", base, q_max),
     )
 
 
@@ -229,12 +228,12 @@ def test_extra_point_series_match_generic_multiplication(q_max):
     assert "p1xp1" in SURFACES
     for name in SURFACES:
         S = surface(name)
-        assert nested_hodge_series(S, q_max) == extra_point_reference(
+        assert hodge_series("incidence", S, q_max) == extra_point_reference(
             S, S.e_polynomial(), q_max
         )
         for g in (0, 1, 2, 3):
             fib = FibrationSpec.from_surface_name(name, g)
-            assert ideal_sheaf_hodge_series(fib, q_max) == extra_point_reference(
+            assert hodge_series("im1", fib, q_max) == extra_point_reference(
                 S, fib.e_polynomial(), q_max
             )
 
@@ -267,7 +266,7 @@ def test_specialization_matches_direct_integer_routes():
         S = surface(name)
         chi = S.euler_number()
         assert euler_sequence("hilb", S, q_max) == hilbert_euler_direct(chi, q_max)
-        assert nested_hodge_series(S, q_max).euler_sequence() == ideal_sheaf_euler_direct(
+        assert hodge_series("incidence", S, q_max).euler_sequence() == ideal_sheaf_euler_direct(
             chi, chi, q_max
         )
         assert euler_sequence("incidence", S, q_max) == ideal_sheaf_euler_direct(chi, chi, q_max)
@@ -284,17 +283,17 @@ def test_euler_sequences_are_the_hodge_series_at_one(q_max):
     # Hodge series evaluated there.
     for name in SURFACES:
         S = surface(name)
-        assert euler_sequence("hilb", S, q_max) == hilbert_hodge_series(S, q_max).euler_sequence()
+        assert euler_sequence("hilb", S, q_max) == hodge_series("hilb", S, q_max).euler_sequence()
         assert (
             euler_sequence("incidence", S, q_max)
-            == nested_hodge_series(S, q_max).euler_sequence()
+            == hodge_series("incidence", S, q_max).euler_sequence()
         )
     # The diamonds of the Euler oracle check (two of them have g = 1, so a box
     # layout and factors with e = -1): their Hodge series at s = t = 1 equal
     # partition enumeration as well as the Euler route.
     for chi in (1, 2, 3, 4):
         S = surface_with_euler_number(chi)
-        euler = hilbert_hodge_series(S, q_max).euler_sequence()
+        euler = hodge_series("hilb", S, q_max).euler_sequence()
         assert euler_sequence("hilb", S, q_max) == euler
         for m in range(min(q_max, 6) + 1):
             assert euler[m] == colored_partitions_count(chi, m)
@@ -303,7 +302,7 @@ def test_euler_sequences_are_the_hodge_series_at_one(q_max):
             fib = FibrationSpec.from_surface_name(name, g)
             assert (
                 euler_sequence("im1", fib, q_max)
-                == ideal_sheaf_hodge_series(fib, q_max).euler_sequence()
+                == hodge_series("im1", fib, q_max).euler_sequence()
             )
 
 
@@ -315,31 +314,33 @@ def test_euler_sequences_are_the_hodge_series_at_one_on_seeded_diamonds():
         fib = FibrationSpec(S, rng.randrange(4))
         for q_max in range(13):
             assert (
-                euler_sequence("hilb", S, q_max) == hilbert_hodge_series(S, q_max).euler_sequence()
+                euler_sequence("hilb", S, q_max) == hodge_series("hilb", S, q_max).euler_sequence()
             )
             assert (
                 euler_sequence("incidence", S, q_max)
-                == nested_hodge_series(S, q_max).euler_sequence()
+                == hodge_series("incidence", S, q_max).euler_sequence()
             )
             assert (
                 euler_sequence("im1", fib, q_max)
-                == ideal_sheaf_hodge_series(fib, q_max).euler_sequence()
+                == hodge_series("im1", fib, q_max).euler_sequence()
             ), (S, fib.fiber_genus, q_max)
 
 
 def test_euler_sequence_rejects_a_wrong_kind_or_geometry():
+    # hodge_series takes kind and geometry by the same rule.
     S, fib = surface("k3"), FibrationSpec.from_surface_name("k3", 1)
-    with pytest.raises(ValueError, match="unknown series kind"):
-        euler_sequence("nested", S, 2)
-    with pytest.raises(ValueError, match="a FibrationSpec"):
-        euler_sequence("im1", S, 2)
-    for kind in ("hilb", "incidence"):
-        with pytest.raises(ValueError, match="a surface HodgeDiamond"):
-            euler_sequence(kind, fib, 2)
-        with pytest.raises(ValueError, match="surface"):
-            euler_sequence(kind, curve_diamond(1), 2)
-    with pytest.raises(ValueError, match="nonnegative"):
-        euler_sequence("hilb", S, -1)
+    for build in (euler_sequence, hodge_series):
+        with pytest.raises(ValueError, match="unknown series kind"):
+            build("nested", S, 2)
+        with pytest.raises(ValueError, match="a FibrationSpec"):
+            build("im1", S, 2)
+        for kind in ("hilb", "incidence"):
+            with pytest.raises(ValueError, match="a surface HodgeDiamond"):
+                build(kind, fib, 2)
+            with pytest.raises(ValueError, match="surface"):
+                build(kind, curve_diamond(1), 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            build("hilb", S, -1)
 
 
 def test_euler_sequence_checks_itself_against_the_direct_route(monkeypatch):
@@ -358,9 +359,9 @@ def test_all_series_coefficients_symmetric():
     for name in SURFACES:
         S = surface(name)
         for series in (
-            hilbert_hodge_series(S, 5),
-            nested_hodge_series(S, 5),
-            ideal_sheaf_hodge_series(FibrationSpec.from_surface_name(name, 2), 5),
+            hodge_series("hilb", S, 5),
+            hodge_series("incidence", S, 5),
+            hodge_series("im1", FibrationSpec.from_surface_name(name, 2), 5),
         ):
             for poly in series.coefficients:
                 assert poly.swap_variables() == poly
@@ -373,11 +374,11 @@ def _registry_series(name, q_max):
     """(kind, geometry, series) of every kind over the surface, im1 at fiber
     genus 0, 1 and 2."""
     S = surface(name)
-    yield "hilb", S, hilbert_hodge_series(S, q_max)
-    yield "incidence", S, nested_hodge_series(S, q_max)
+    yield "hilb", S, hodge_series("hilb", S, q_max)
+    yield "incidence", S, hodge_series("incidence", S, q_max)
     for g in (0, 1, 2):
         fib = FibrationSpec.from_surface_name(name, g)
-        yield "im1", fib, ideal_sheaf_hodge_series(fib, q_max)
+        yield "im1", fib, hodge_series("im1", fib, q_max)
 
 
 @pytest.mark.parametrize("name", SURFACES)
@@ -409,23 +410,23 @@ def test_verify_series_rejects_a_wrong_coefficient(extra, message):
 def test_verify_series_rejects_an_unknown_kind():
     S = surface("k3")
     with pytest.raises(ValueError, match="unknown series kind"):
-        verify_series("nested", S, hilbert_hodge_series(S, 2))
+        verify_series("nested", S, hodge_series("hilb", S, 2))
 
 
 def test_verify_series_rejects_the_wrong_kind_of_geometry():
     S, fib = surface("k3"), FibrationSpec.from_surface_name("k3", 1)
     with pytest.raises(ValueError, match="a FibrationSpec"):
-        verify_series("im1", S, ideal_sheaf_hodge_series(fib, 2))
-    for kind, build in (("hilb", hilbert_hodge_series), ("incidence", nested_hodge_series)):
+        verify_series("im1", S, hodge_series("im1", fib, 2))
+    for kind in ("hilb", "incidence"):
         with pytest.raises(ValueError, match="a surface HodgeDiamond"):
-            verify_series(kind, fib, build(S, 2))
+            verify_series(kind, fib, hodge_series(kind, S, 2))
 
 
 @pytest.mark.parametrize(
     "built_over, checked_over", (("k3", "p2"), ("p2", "k3"), ("abelian", "p1xp1"))
 )
 def test_verify_series_rejects_an_im1_series_of_another_base(built_over, checked_over):
-    series = ideal_sheaf_hodge_series(FibrationSpec.from_surface_name(built_over, 0), 5)
+    series = hodge_series("im1", FibrationSpec.from_surface_name(built_over, 0), 5)
     with pytest.raises(RuntimeError, match="direct integer series"):
         verify_series("im1", FibrationSpec.from_surface_name(checked_over, 0), series)
 

@@ -47,8 +47,8 @@ def test_partition_validation():
 
 
 def test_partition_size():
-    assert Partition(()).size == 0
-    assert Partition((4, 2, 1)).size == 7
+    assert sum(Partition(()).parts) == 0
+    assert sum(Partition((4, 2, 1)).parts) == 7
 
 
 def test_partitions_of_counts():

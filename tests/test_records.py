@@ -85,7 +85,7 @@ def test_fibration_spec_rejects():
 
 def test_partition_construction_and_rejects():
     assert Partition((3, 1, 1)).parts == Partition(parts=(3, 1, 1)).parts == (3, 1, 1)
-    assert Partition((3, 1, 1)).size == 5
+    assert sum(Partition((3, 1, 1)).parts) == 5
     with pytest.raises(ValueError, match="positive"):
         Partition((2, 0))
     with pytest.raises(ValueError, match="weakly decreasing"):

@@ -5,14 +5,13 @@ import pytest
 
 from fiberdt import serialize
 from fiberdt import formulas
-from fiberdt.formulas import nested_hodge_series
 from fiberdt.geometry import FibrationSpec, HodgeDiamond, registry_lookup
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
 from series_reference import one
 
 
 def sample_series():
-    return nested_hodge_series(registry_lookup("k3"), 3)
+    return formulas.hodge_series("incidence", registry_lookup("k3"), 3)
 
 
 def written(series, **keywords):
@@ -293,12 +292,8 @@ def test_dump_series_document_equals_json_dumps(surface_name, kind, q_max):
     else:
         surface = registry_lookup(surface_name)
     genus = 1 if kind == "im1" else None
-    if kind == "hilb":
-        series = formulas.hilbert_hodge_series(surface, q_max)
-    elif kind == "incidence":
-        series = formulas.nested_hodge_series(surface, q_max)
-    else:
-        series = formulas.ideal_sheaf_hodge_series(FibrationSpec(surface, genus), q_max)
+    geometry = surface if genus is None else FibrationSpec(surface, genus)
+    series = formulas.hodge_series(kind, geometry, q_max)
     keywords = dict(kind=kind, surface_doc=surface.to_json(), surface_name=surface_name, genus=genus)
     text = serialize.series_to_json(series, **keywords)
     assert text == json.dumps(reference_document(series, **keywords), sort_keys=True, indent=2) + "\n"
