@@ -29,7 +29,6 @@ _SOURCES = {
         "surface_with_euler_number",
     ),
     "formulas": (
-        "dt_invariant",
         "dt_table",
         "euler_sequence",
         "hilbert_euler_direct",

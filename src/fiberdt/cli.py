@@ -127,17 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         args.func(args)
         return EXIT_OK
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -386,7 +381,7 @@ def _cmd_localhom(args) -> None:
         return
     if args.d_max < 1:
         raise UsageError("the built-in verification needs --dmax of at least 1")
-    report = localhom.tangent_jump_report(range(1, args.d_max + 1))
+    report = localhom.tangent_jump_report(args.d_max)
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:

@@ -34,7 +34,6 @@ __all__ = [
     "euler_sequence",
     "moduli_dimension",
     "dt_table",
-    "dt_invariant",
     "hilbert_euler_direct",
     "ideal_sheaf_euler_direct",
     "verify_series",
@@ -170,12 +169,6 @@ def dt_table(fibration: FibrationSpec, m_max: int) -> tuple[tuple[int, int], ...
         if value != 0:
             raise RuntimeError(f"expected a vanishing Donaldson-Thomas number at m={m}, got {value}")
     return table
-
-
-def dt_invariant(fibration: FibrationSpec, m: int) -> int:
-    """Donaldson-Thomas number of the moduli space labelled m; see
-    :func:`dt_table` for the hypotheses."""
-    return dt_table(fibration, m)[-1][1]
 
 
 # ---------------------------------------------------------------------------

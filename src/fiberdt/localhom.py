@@ -25,7 +25,8 @@ Multiplying by a cofactor is injective, so every constraint row either sets
 one unknown to zero, ``(u,)``, or equates two, ``(u, v)``.  Each component of
 that equality graph with no zeroed unknown is one basis map
 (``linalg.nullspace``): it sends each generator to the sum of the basis
-monomials of its unknowns in the component.
+monomials of its unknowns in the component.  A solve builds the rows once;
+the spanning check in :func:`verify_hom_solution` reads the same rows.
 """
 
 from __future__ import annotations
@@ -250,15 +251,16 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
         raise ValueError(f"ideal size {size} at d_max {d_max} exceeds the cap {SIZE_CAP}")
     basis = standard_monomials(ideal, d_max)
     n_basis = len(basis)
+    rows = _constraint_rows(ideal, basis)
     basis_maps = []
-    for component in linalg.nullspace(_constraint_rows(ideal, basis), len(gens) * n_basis):
+    for component in linalg.nullspace(rows, len(gens) * n_basis):
         images: list[list[int]] = [[] for _ in gens]
         for unknown in component:  # sorted, so each image comes out sorted
             g, b = divmod(unknown, n_basis)
             images[g].append(b)
         basis_maps.append(tuple(map(tuple, images)))
     solution = HomSolution(ideal, d_max, basis, tuple(basis_maps))
-    if not verify_hom_solution(solution):
+    if not verify_hom_solution(solution, rows):
         raise RuntimeError("solved basis maps fail re-substitution or do not span the kernel")
     return solution
 
@@ -275,14 +277,14 @@ def _apply_map(ideal: MonomialIdeal, basis: tuple[Monomial, ...], image, mult: M
     return out
 
 
-def _spans_kernel(solution: HomSolution) -> bool:
-    """Whether the basis maps are the components of the equality rows that
-    hold no zeroed unknown, each once: a breadth-first search over
-    :func:`_constraint_rows`, sharing no code with ``linalg.nullspace``."""
+def _spans_kernel(solution: HomSolution, rows) -> bool:
+    """Whether the basis maps are the components of the equality ``rows``
+    that hold no zeroed unknown, each once: a breadth-first search sharing
+    no code with ``linalg.nullspace``."""
     n = solution.n_unknowns
     neighbours: list[list[int]] = [[] for _ in range(n)]
     zeroed = set()
-    for row in _constraint_rows(solution.ideal, solution.basis):
+    for row in rows:
         if len(row) == 1:
             zeroed.add(row[0])
         else:
@@ -310,14 +312,17 @@ def _spans_kernel(solution: HomSolution) -> bool:
     return len(maps) == len(kernel) and set(maps) == kernel
 
 
-def verify_hom_solution(solution: HomSolution) -> bool:
+def verify_hom_solution(solution: HomSolution, rows=None) -> bool:
     """Re-substitute every basis map into every syzygy constraint, and check
     that the maps span the kernel: each is one connected component of the
-    equality rows, and every unknown in no map is joined to a zeroed one.
+    equality ``rows`` (the solve's :func:`_constraint_rows`, built here when
+    omitted), and every unknown in no map is joined to a zeroed one.
 
     Returns True when all of this holds exactly.
     """
-    if not _spans_kernel(solution):
+    if rows is None:
+        rows = _constraint_rows(solution.ideal, solution.basis)
+    if not _spans_kernel(solution, rows):
         return False
     ideal, basis = solution.ideal, solution.basis
     # Both cofactors of every syzygy pair, computed once for all basis maps.
@@ -333,24 +338,24 @@ def verify_hom_solution(solution: HomSolution) -> bool:
     return True
 
 
-def tangent_jump_report(d_values) -> dict:
+def tangent_jump_report(d_max: int) -> dict:
     """Check the truncated Hom dimensions of the two built-in local models.
 
-    For every truncation degree D in ``d_values`` the line model must give
-    2D + 2 and the embedded-point model 10 + 2D.  The report states the
+    For every truncation degree D from 1 to ``d_max`` the line model must
+    give 2D + 2 and the embedded-point model 10 + 2D.  The report states the
     fixed-truncation gap (8) and the series-index offset (2, one slot for
     each of the two free w3-series families) whose sum is the untruncated
     tangent-space jump of 10.  The offset is reported, not re-derived: the
-    truncation only ever sees finitely many series coefficients.
+    truncation only ever sees finitely many series coefficients.  A
+    negative ``d_max`` or 0 raises ValueError.
     """
-    d_values = list(d_values)
-    if not d_values:
-        raise ValueError("at least one truncation degree is required")
-    if any(d < 0 for d in d_values):
+    if d_max < 0:
         raise ValueError("truncation degrees must be nonnegative")
+    if d_max == 0:
+        raise ValueError("at least one truncation degree is required")
     rows = []
     all_ok = True
-    for d in d_values:
+    for d in range(1, d_max + 1):
         line = hom_dimension(LINE_IDEAL, d)
         embedded = hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, d)
         expected_line = 2 * d + 2

@@ -6,7 +6,6 @@ import pytest
 from fiberdt import formulas
 from fiberdt.cli import HODGE_CAP
 from fiberdt.formulas import (
-    dt_invariant,
     dt_table,
     euler_sequence,
     hilbert_euler_direct,
@@ -444,8 +443,8 @@ def test_moduli_dimension():
 def test_dt_vanishes_on_trivial_canonical_surfaces():
     for name in ("k3", "abelian"):
         fib = FibrationSpec.from_surface_name(name, 1)
-        for m in range(5):
-            assert dt_invariant(fib, m) == 0
+        for m, (_, value) in enumerate(dt_table(fib, 4)):
+            assert value == 0, m
 
 
 def test_dt_table_runs_its_own_checks(monkeypatch):
@@ -466,14 +465,14 @@ def test_dt_table_runs_its_own_checks(monkeypatch):
 
 def test_dt_rejects_nontrivial_canonical_class():
     with pytest.raises(ValueError, match="trivial canonical class"):
-        dt_invariant(FibrationSpec.from_surface_name("p2", 1), 0)
+        dt_table(FibrationSpec.from_surface_name("p2", 1), 0)
 
 
 def test_dt_rejects_wrong_fiber_genus():
     with pytest.raises(ValueError, match="elliptic"):
-        dt_invariant(FibrationSpec.from_surface_name("k3", 0), 0)
+        dt_table(FibrationSpec.from_surface_name("k3", 0), 0)
     with pytest.raises(ValueError, match="elliptic"):
-        dt_invariant(FibrationSpec.from_surface_name("abelian", 2), 0)
+        dt_table(FibrationSpec.from_surface_name("abelian", 2), 0)
 
 
 def test_dt_rejects_nonzero_beta_k():
@@ -483,7 +482,7 @@ def test_dt_rejects_nonzero_beta_k():
         fib = FibrationSpec.from_surface_name("k3", g)
         assert fib.beta_dot_kx != 0
         with pytest.raises(ValueError, match=rf"beta\.K = 0\), got genus {g}"):
-            dt_invariant(fib, 0)
+            dt_table(fib, 0)
     assert FibrationSpec.from_surface_name("k3", 1).beta_dot_kx == 0
 
 
