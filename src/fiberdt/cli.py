@@ -360,7 +360,7 @@ def _cmd_localhom(args) -> None:
     if args.d_max > D_MAX_CAP:
         raise ValueError(f"dmax {args.d_max} exceeds the cap {D_MAX_CAP}")
     if args.ideal_file:
-        ideal = localhom.MonomialIdeal.from_json(_load_json_file(args.ideal_file))
+        ideal = localhom.MonomialIdeal.from_json(_load_json_file(args.ideal_file), args.d_max)
         solution = localhom.hom_dimension(ideal, args.d_max)
         report = {
             "ideal": ideal.to_json(),

@@ -15,8 +15,8 @@ identifications (the coefficient of q^1 equals the class of the surface,
 respectively of the 3-fold) and validated against the partition oracles at
 the Euler level.
 
-:func:`euler_sequence` runs the same packed product at s = t = 1, on the
-factors (1 - q^k) ** (-e(surface)), so no Hodge series is built for it.
+:func:`euler_sequence` runs the same engine at s = t = 1, in its scalar
+layout, on the factors (1 - q^k) ** (-e(surface)): no Hodge series is built.
 
 Every series has a parallel "direct" integer route computed by a univariate
 recurrence on plain ints; the direct routes share no code with the
@@ -225,12 +225,27 @@ def verify_series(
     (a :class:`HodgeDiamond`) for "hilb" and "incidence", the
     :class:`FibrationSpec` for "im1".  Every coefficient must be symmetric
     under swapping s and t, and the s = t = 1 specialization must equal the
-    direct integer series of ``geometry``.  A failure raises ``RuntimeError``;
-    an unknown kind or a geometry of the other kind raises ``ValueError``.
+    direct integer series of ``geometry``.  The class of each space, smooth,
+    projective and connected, has c_00 = 1 and Poincare duality c_ij =
+    c_(d-i, d-j) (Goettsche-Soergel, Math. Ann. 296, 1993): at q^m, d is 2m,
+    or ``moduli_dimension(m - 1)`` for "im1", and the q^0 of a labelled kind
+    is 0.  A failure raises ``RuntimeError``; an unknown kind or a geometry of
+    the other kind raises ``ValueError``.
     """
     expected = _surface_and_direct(kind, geometry, series.q_max)[2]
     for m, poly in enumerate(series.coefficients):
-        if poly.swap_variables() != poly:
+        terms = poly.terms
+        if any(terms.get((j, i)) != c for (i, j), c in terms.items()):
             raise RuntimeError(f"q^{m} coefficient is not symmetric under swapping s and t")
     if series.euler_sequence() != expected:
         raise RuntimeError("Euler specialization disagrees with the direct integer series")
+    for m, poly in enumerate(series.coefficients):
+        terms = poly.terms
+        if kind != "hilb" and m == 0:
+            dual = not terms
+        else:
+            d = moduli_dimension(m - 1) if kind == "im1" else 2 * m
+            mirrored = all(terms.get((d - i, d - j)) == c for (i, j), c in terms.items())
+            dual = terms.get((0, 0)) == 1 and mirrored
+        if not dual:
+            raise RuntimeError(f"q^{m} coefficient fails the Poincare duality check")

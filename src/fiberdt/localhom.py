@@ -63,15 +63,27 @@ def _divides(a: Monomial, b: Monomial) -> bool:
 
 
 def _monomial_str(mono: Monomial) -> str:
-    if mono == (0, 0, 0):
-        return "1"
-    parts = []
-    for var, e in zip(("w1", "w2", "w3"), mono):
-        if e == 1:
-            parts.append(var)
-        elif e > 1:
-            parts.append(f"{var}^{e}")
-    return "*".join(parts)
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(("w1", "w2", "w3"), mono) if e) or "1"
+
+
+def _check_triples(gens) -> None:
+    if not gens:
+        raise ValueError("a monomial ideal needs at least one generator")
+    for g in gens:
+        if len(g) != 3 or any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in g):
+            raise ValueError(f"generator {g!r} is not a triple of nonnegative integers")
+
+
+def _check_size(gens, d_max: int) -> None:
+    """Refuse a Hom computation over :data:`SIZE_CAP` (see :func:`hom_dimension`)
+    in linear time.  A missing pure power counts as 0: standard_monomials refuses it."""
+    # The largest w3 cofactor exponent of any generator pair.
+    guard = max(g[2] for g in gens) - min(g[2] for g in gens)
+    box1 = min((g[0] for g in gens if g[1] == g[2] == 0), default=0)
+    box2 = min((g[1] for g in gens if g[0] == g[2] == 0), default=0)
+    size = len(gens) * box1 * box2 * (d_max + guard + 1)
+    if size > SIZE_CAP:
+        raise ValueError(f"ideal size {size} at d_max {d_max} exceeds the cap {SIZE_CAP}")
 
 
 class MonomialIdeal(namedtuple("MonomialIdeal", ("gens",))):
@@ -83,13 +95,7 @@ class MonomialIdeal(namedtuple("MonomialIdeal", ("gens",))):
     __slots__ = ()
 
     def __new__(cls, gens: tuple[Monomial, ...]):
-        if not gens:
-            raise ValueError("a monomial ideal needs at least one generator")
-        for g in gens:
-            if len(g) != 3 or any(
-                not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in g
-            ):
-                raise ValueError(f"generator {g!r} is not a triple of nonnegative integers")
+        _check_triples(gens)
         for i, a in enumerate(gens):
             for j, b in enumerate(gens):
                 if i != j and _divides(a, b):
@@ -100,13 +106,18 @@ class MonomialIdeal(namedtuple("MonomialIdeal", ("gens",))):
         return super().__new__(cls, gens)
 
     @classmethod
-    def from_json(cls, triples) -> "MonomialIdeal":
-        """Build from a JSON list of exponent triples."""
+    def from_json(cls, triples, d_max: int | None = None) -> "MonomialIdeal":
+        """Build from a JSON list of exponent triples; with ``d_max``, one over
+        the size cap at ``d_max`` is refused before the minimality scan."""
         if not isinstance(triples, list) or not all(isinstance(t, list) for t in triples):
             raise ValueError("ideal document must be a list of exponent triples")
         if len(triples) > SIZE_CAP:
             raise ValueError(f"{len(triples)} generators exceed the size cap {SIZE_CAP}")
-        return cls(tuple(tuple(t) for t in triples))
+        gens = tuple(tuple(t) for t in triples)
+        if d_max is not None:
+            _check_triples(gens)
+            _check_size(gens, d_max)
+        return cls(gens)
 
     def to_json(self) -> list[list[int]]:
         return [list(g) for g in self.gens]
@@ -243,12 +254,7 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
     ValueError before any enumeration.
     """
     gens = ideal.gens
-    # The largest w3 cofactor exponent of any generator pair.
-    guard = max(g[2] for g in gens) - min(g[2] for g in gens)
-    bound1, bound2 = _pure_powers(ideal)
-    size = len(gens) * bound1 * bound2 * (d_max + guard + 1)
-    if size > SIZE_CAP:
-        raise ValueError(f"ideal size {size} at d_max {d_max} exceeds the cap {SIZE_CAP}")
+    _check_size(gens, d_max)
     basis = standard_monomials(ideal, d_max)
     n_basis = len(basis)
     rows = _constraint_rows(ideal, basis)
@@ -354,14 +360,12 @@ def tangent_jump_report(d_max: int) -> dict:
     if d_max == 0:
         raise ValueError("at least one truncation degree is required")
     rows = []
-    all_ok = True
     for d in range(1, d_max + 1):
         line = hom_dimension(LINE_IDEAL, d)
         embedded = hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, d)
         expected_line = 2 * d + 2
         expected_embedded = 10 + 2 * d
         ok = line.dimension == expected_line and embedded.dimension == expected_embedded
-        all_ok = all_ok and ok
         rows.append(
             {
                 "d_max": d,
@@ -376,7 +380,7 @@ def tangent_jump_report(d_max: int) -> dict:
             }
         )
     differences = sorted({row["local_difference"] for row in rows})
-    passed = all_ok and differences == [8]
+    passed = all(row["ok"] for row in rows) and differences == [8]
     return {
         "ideals": {
             "line": LINE_IDEAL.to_json(),

@@ -85,6 +85,10 @@ def weak_compositions(total: int, n_parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _colored_tuples(n_colors: int, m: int) -> Iterator[tuple[Partition, ...]]:
+    if n_colors < 1:
+        raise ValueError("need at least one color")
+    if m < 0:
+        raise ValueError("total size must be nonnegative")
     for sizes in weak_compositions(m, n_colors):
         yield from itertools.product(*(partitions_of(s) for s in sizes))
 
@@ -94,10 +98,6 @@ def colored_partitions_count(n_colors: int, m: int) -> int:
 
     Exhaustive: every tuple is generated and counted.
     """
-    if n_colors < 1:
-        raise ValueError("need at least one color")
-    if m < 0:
-        raise ValueError("total size must be nonnegative")
     return sum(1 for _ in _colored_tuples(n_colors, m))
 
 
@@ -108,11 +108,4 @@ def nested_colored_count(n_colors: int, m: int) -> int:
     components; this counts nested pairs (tuple of size m, tuple of size
     m + 1) with componentwise containment.
     """
-    if n_colors < 1:
-        raise ValueError("need at least one color")
-    if m < 0:
-        raise ValueError("total size must be nonnegative")
-    total = 0
-    for tup in _colored_tuples(n_colors, m):
-        total += sum(addable_boxes(p) for p in tup)
-    return total
+    return sum(addable_boxes(p) for tup in _colored_tuples(n_colors, m) for p in tup)

@@ -29,6 +29,8 @@ q-coefficient is one Python int, the sum of c_ij 2^(B slot(i, j)), so that
 multiplying by s^(an) t^(bn) is a left shift and the recurrence above runs on
 plain ints.  The layout follows from the factors and the start:
 
+* scalar, when every kept factor has a = b = 0 and the start is constant:
+  each coefficient is the plain int c_00, so nothing is sized or decoded.
 * band, when every kept factor has a = b: slot(i, j) = (i - j + D) +
   (2 D + 1) j, with D the largest |i - j| of the start.  Diagonal factors
   keep i - j, so every term stays in the band; D = 0 is the diagonal layout
@@ -40,8 +42,10 @@ plain ints.  The layout follows from the factors and the start:
 The slot width B is the bit length of 2 M + 1 rounded up to 8, 16, 32 or 64
 bits, or above 64 to whole bytes.  Here M is the sum of the |coefficients| of
 the start times the largest coefficient up to q^q_max of the product of
-(1 - q^k) ** (-|e|) over the same factors; M bounds every |c_ij| of the
-result.  Decoding adds 2^(B-1) to every slot and calls ``int.to_bytes``
+(1 - q^k) ** (-|e|) over the same factors, merged by k: the engine's own
+product at s = t = 1 in the scalar layout.  Each |c_n| of a factor is at most
+the matching coefficient of (1 - q^k) ** (-|e|), so M bounds every |c_ij| of
+the result.  Decoding adds 2^(B-1) to every slot and calls ``int.to_bytes``
 once.  Up to 64 bits an XOR with the same offset turns each slot back into
 two's complement, which a signed ``array`` of that item size reads, and
 ``itertools.compress`` keeps the (i, j) keys of the nonzero slots, all in C.
@@ -110,10 +114,6 @@ class BivariatePolynomial:
         """
         return sum(self._terms.values())
 
-    def swap_variables(self) -> "BivariatePolynomial":
-        """Exchange s and t (transpose every exponent pair)."""
-        return BivariatePolynomial._raw({(j, i): c for (i, j), c in self._terms.items()})
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -136,37 +136,8 @@ class BivariatePolynomial:
                     del out[key]
         return BivariatePolynomial._raw(out)
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for (i, j), c in sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0])):
-            vars_part = "*".join(
-                p for p in (_power("s", i), _power("t", j)) if p
-            )
-            if vars_part:
-                if c == 1:
-                    body = vars_part
-                elif c == -1:
-                    body = "-" + vars_part
-                else:
-                    body = f"{c}*{vars_part}"
-            else:
-                body = str(c)
-            chunks.append(body)
-        text = " + ".join(chunks)
-        return text.replace("+ -", "- ")
-
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self._terms!r})"
-
-
-def _power(var: str, e: int) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return var
-    return f"{var}^{e}"
 
 
 _ZERO = BivariatePolynomial._raw({})
@@ -225,6 +196,10 @@ def series_product(
             raise ValueError("factor exponents in s and t must be nonnegative")
         if k <= q_max and e != 0:
             kept.append((a, b, k, e))
+    if start.terms.keys() <= {(0, 0)} and all(a == b == 0 for a, b, _, _ in kept):
+        # Scalar: every coefficient is the plain int c_00.
+        values = _expand([(0, k, e) for _, _, k, e in kept], q_max, start.terms.get((0, 0), 0))
+        return TruncatedSeries(BivariatePolynomial._raw({(0, 0): v}) if v else _ZERO for v in values)
     diagonal = all(a == b for a, b, _, _ in kept)
     if diagonal:
         # Band: diagonal factors keep i - j, so it stays within the -D..D of
@@ -246,31 +221,9 @@ def series_product(
     size = ((2 * bound + 1).bit_length() + 7) // 8
     # 1, 2, 4 or 8 bytes, the widths that _unpack reads as an array in C.
     bits = 8 * (1 << (size - 1).bit_length() if size <= 8 else size)
-    coeffs = [0] * (q_max + 1)
-    coeffs[0] = sum(c << bits * slot(i, j) for (i, j), c in start.terms.items())
-    for a, b, k, e in kept:
-        n_max = q_max // k if e > 0 else min(q_max // k, -e)
-        shift = bits * (slot(a, b) - slot(0, 0))
-        if e > 0 and e * (q_max + 1 - k) <= sum(min(m // k, n_max) for m in range(k, q_max + 1)):
-            # Fewer big-int steps as e divisions by 1 - x q^k, each a shift
-            # and an add per m that reads the updated coefficients.
-            for _ in range(e):
-                for m in range(k, q_max + 1):
-                    coeffs[m] += coeffs[m - k] << shift
-            continue
-        steps = [
-            (n * k, n * shift, comb(e - 1 + n, n) if e > 0 else (-1) ** n * comb(-e, n))
-            for n in range(1, n_max + 1)
-        ]
-        for m in range(q_max, k - 1, -1):
-            acc = coeffs[m]
-            for q_shift, bit_shift, c in steps:
-                if q_shift > m:
-                    break
-                src = coeffs[m - q_shift]
-                if src:
-                    acc += (c * src) << bit_shift
-            coeffs[m] = acc
+    seed = sum(c << bits * slot(i, j) for (i, j), c in start.terms.items())
+    steps = [(bits * (slot(a, b) - slot(0, 0)), k, e) for a, b, k, e in kept]
+    coeffs = _expand(steps, q_max, seed)
     # The (i, j) of every slot that any coefficient reaches, built once.
     slots = range(max(v.bit_length() for v in coeffs) // bits + 1)
     if diagonal:
@@ -281,21 +234,40 @@ def series_product(
 
 
 def _coefficient_majorant(kept: list[tuple[int, int, int, int]], q_max: int) -> int:
-    """Largest coefficient up to q^q_max of the product of (1 - q^k) ** (-|e|).
-
-    Each |c_n| of a factor is at most the matching coefficient of
-    (1 - q^k) ** (-|e|), so this bounds every |coefficient| of the product.
-    Factors are merged by k first.
-    """
-    exponents: dict[int, int] = {}
+    """M of the module docstring for the start 1, in the scalar layout."""
+    merged: dict[int, int] = {}
     for _, _, k, e in kept:
-        exponents[k] = exponents.get(k, 0) + abs(e)
-    coeffs = [1] + [0] * q_max
-    for k, e in exponents.items():
-        steps = [(n * k, comb(e - 1 + n, n)) for n in range(1, q_max // k + 1)]
+        merged[k] = merged.get(k, 0) + abs(e)
+    return max(_expand([(0, k, e) for k, e in merged.items()], q_max, 1))
+
+
+def _expand(steps: list[tuple[int, int, int]], q_max: int, seed: int) -> list[int]:
+    """The coefficients of q^0..q^q_max of ``seed`` times the product of
+    (1 - x q^k) ** (-e) over (shift, k, e), x a left shift by ``shift`` bits."""
+    coeffs = [seed] + [0] * q_max
+    for shift, k, e in steps:
+        n_max = q_max // k if e > 0 else min(q_max // k, -e)
+        if e > 0 and e * (q_max + 1 - k) <= sum(min(m // k, n_max) for m in range(k, q_max + 1)):
+            # Fewer big-int steps as e divisions by 1 - x q^k, each a shift
+            # and an add per m that reads the updated coefficients.
+            for _ in range(e):
+                for m in range(k, q_max + 1):
+                    coeffs[m] += coeffs[m - k] << shift
+            continue
+        terms = [
+            (n * k, n * shift, comb(e - 1 + n, n) if e > 0 else (-1) ** n * comb(-e, n))
+            for n in range(1, n_max + 1)
+        ]
         for m in range(q_max, k - 1, -1):
-            coeffs[m] += sum(c * coeffs[m - shift] for shift, c in steps if shift <= m)
-    return max(coeffs)
+            acc = coeffs[m]
+            for q_shift, bit_shift, c in terms:
+                if q_shift > m:
+                    break
+                src = coeffs[m - q_shift]
+                if src:
+                    acc += (c * src) << bit_shift
+            coeffs[m] = acc
+    return coeffs
 
 
 def _unpack(value: int, bits: int, keys: list[tuple[int, int]]) -> BivariatePolynomial:

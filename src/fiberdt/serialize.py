@@ -5,7 +5,8 @@ integer rendered as a decimal string, since values outgrow 64-bit integers
 long before the configured truncation cap.  All emission is deterministic:
 identical inputs yield byte-identical documents.
 
-The writers define every format.  :func:`series_to_json` and
+The writers define every format, text included: :func:`series_to_text`
+renders each polynomial itself.  :func:`series_to_json` and
 :func:`euler_to_json` render each coefficient entry once, in the indented
 form of ``json.dumps(..., sort_keys=True, indent=2)`` that is emitted.  The
 checksum is the sha256 of the compact form of :func:`canonical_json`, which
@@ -182,5 +183,19 @@ def series_to_text(coefficients, *, kind: str, surface_name: str | None, euler: 
     lines = [f"# kind={kind} surface={name} q_max={len(coefficients) - 1}{suffix}"]
     for q, value in enumerate(coefficients):
         label = _label(kind, q, "")
-        lines.append(f"q^{q} (m={label}): {value}" if label else f"q^{q}: {value}")
+        text = value if euler else _polynomial_text(value)
+        lines.append(f"q^{q} (m={label}): {text}" if label else f"q^{q}: {text}")
     return "\n".join(lines) + "\n"
+
+
+def _polynomial_text(poly: BivariatePolynomial) -> str:
+    """The terms by total degree, then (i, j), as "c*s^i*t^j" with a unit
+    coefficient or exponent left out and a negative term subtracted."""
+    chunks = []
+    for (i, j), c in sorted(sorted(poly.terms.items()), key=lambda term: sum(term[0])):
+        s = "" if not i else "s" if i == 1 else f"s^{i}"
+        t = "" if not j else "t" if j == 1 else f"t^{j}"
+        monomial = f"{s}*{t}" if s and t else s or t
+        prefix = "" if c == 1 else "-" if c == -1 else f"{c}*"
+        chunks.append(prefix + monomial if monomial else str(c))
+    return " + ".join(chunks).replace("+ -", "- ") or "0"

@@ -6,6 +6,8 @@ term by term.  Only the constructors, ``.q_max``, ``.coefficients`` and
 ``BivariatePolynomial.__mul__``.
 """
 
+from math import comb
+
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries
 
 
@@ -21,6 +23,27 @@ def _add_product(acc, a, b):
 def poly_mul(a, b):
     """The product of two polynomials."""
     return BivariatePolynomial(_add_product({}, a, b))
+
+
+def transposed(poly):
+    """The polynomial with s and t exchanged."""
+    return BivariatePolynomial({(j, i): c for (i, j), c in poly.terms.items()})
+
+
+def coefficient_majorant(factors, q_max):
+    """Largest coefficient up to q^q_max of the product of (1 - q^k) ** (-|e|)
+    over the factors (a, b, k, e) with k <= q_max, merged by k: the slot
+    bound of the engine, by its own univariate recurrence on plain ints."""
+    exponents = {}
+    for _, _, k, e in factors:
+        if k <= q_max:
+            exponents[k] = exponents.get(k, 0) + abs(e)
+    coeffs = [1] + [0] * q_max
+    for k, e in exponents.items():
+        steps = [(n * k, comb(e - 1 + n, n)) for n in range(1, q_max // k + 1)]
+        for m in range(q_max, k - 1, -1):
+            coeffs[m] += sum(c * coeffs[m - shift] for shift, c in steps if shift <= m)
+    return max(coeffs)
 
 
 def padded(q_max, coefficients):

@@ -421,6 +421,32 @@ def test_series_cache_tampered_payload_fails_crosscheck(tmp_path, capsys):
     assert "direct integer series" in err
 
 
+def test_series_cache_entry_off_its_mirror_fails_crosscheck(tmp_path, capsys):
+    # The writer's own bytes for a series edited off the Poincare mirror: the
+    # entry reads back, keeps the s/t symmetry and the Euler numbers, and
+    # still fails the check of every cache read.
+    cache = tmp_path / "cache"
+    argv = (
+        "series", "hilb", "--surface", "k3", "--qmax", "3",
+        "--format", "json", "--cache", str(cache),
+    )
+    assert run(capsys, *argv)[0] == 0
+    entry = next(cache.glob("hilb-*.json"))
+    coeffs = list(formulas.hodge_series("hilb", registry_lookup("k3"), 3).coefficients)
+    terms = dict(coeffs[3].terms)
+    terms[1, 1] += 1
+    terms[2, 2] -= 1
+    coeffs[3] = BivariatePolynomial(terms)
+    edited = serialize.series_to_json(
+        TruncatedSeries(coeffs), kind="hilb", surface_doc=registry_lookup("k3").to_json(),
+        surface_name="k3",
+    )
+    entry.write_text(edited)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "Poincare duality" in err
+
+
 def test_series_cache_miss_entry_equals_json_output(tmp_path, capsys):
     cache = tmp_path / "cache"
     code, out, _ = run(
@@ -843,6 +869,22 @@ def test_largest_ideal_file_is_far_under_the_byte_cap(tmp_path, capsys):
     code, _, err = run(capsys, "localhom", "--dmax", "0", "--ideal-file", str(path))
     assert code == 2
     assert "generators exceed the size cap" in err
+
+
+def test_oversized_ideal_file_is_refused_before_the_minimality_scan(tmp_path, capsys, monkeypatch):
+    # The size cap is checked from the exponents in linear time; the scan
+    # that compares every pair of generators never starts.
+    from fiberdt import localhom
+
+    def no_scan(a, b):
+        raise AssertionError("the minimality scan ran")
+
+    monkeypatch.setattr(localhom, "_divides", no_scan)
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps([[a, 1999 - a, 0] for a in range(2000)]))
+    code, out, err = run(capsys, "localhom", "--dmax", "1", "--ideal-file", str(path))
+    assert (code, out) == (2, "")
+    assert "ideal size" in err and "exceeds the cap" in err
 
 
 @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")

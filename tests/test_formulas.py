@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from fiberdt import formulas
+from fiberdt import cli, formulas
 from fiberdt.cli import HODGE_CAP
 from fiberdt.formulas import (
     dt_table,
@@ -24,7 +24,7 @@ from fiberdt.geometry import (
 )
 from fiberdt.oracles import colored_partitions_count, nested_colored_count
 from fiberdt.polyseries import BivariatePolynomial, TruncatedSeries, series_product
-from series_reference import goettsche_hilbert, mul, padded, scaled
+from series_reference import goettsche_hilbert, mul, padded, scaled, transposed
 
 SURFACES = surface_names()
 
@@ -363,7 +363,7 @@ def test_all_series_coefficients_symmetric():
             hodge_series("im1", FibrationSpec.from_surface_name(name, 2), 5),
         ):
             for poly in series.coefficients:
-                assert poly.swap_variables() == poly
+                assert transposed(poly) == poly
 
 
 # --- cross-checks ------------------------------------------------------------
@@ -404,6 +404,81 @@ def test_verify_series_rejects_a_wrong_coefficient(extra, message):
     for kind, geometry, series in _registry_series("k3", 4):
         with pytest.raises(RuntimeError, match=message):
             verify_series(kind, geometry, _with_extra_term(series, 3, *extra))
+
+
+def test_verify_series_passes_on_seeded_diamonds():
+    rng = random.Random(29)
+    for _ in range(8):
+        h10, h20, h11 = rng.randrange(4), rng.randrange(4), rng.randrange(1, 25)
+        S = HodgeDiamond([[1, h10, h20], [h10, h11, h10], [h20, h10, 1]])
+        fib = FibrationSpec(S, rng.randrange(4))
+        for kind, geometry in (("hilb", S), ("incidence", S), ("im1", fib)):
+            verify_series(kind, geometry, hodge_series(kind, geometry, 10))
+
+
+def _patch_nested_factor(monkeypatch):
+    # q/(1 - q) in place of q/(1 - s t q): the Euler numbers do not change.
+    extra_point = formulas._extra_point_series
+
+    def nested_without_st(factors, e, q_max):
+        return extra_point([(0, 0, 1, 1), *factors[1:]], e, q_max)
+
+    monkeypatch.setattr(formulas, "_extra_point_series", nested_without_st)
+
+
+def _patch_surface_factors(monkeypatch):
+    # s^(i+k) t^(j+k) in place of s^(i+k-1) t^(j+k-1): still symmetric in s
+    # and t, with the same Euler numbers.
+    surface_factors = formulas._surface_factors
+
+    def shifted(surface, q_max):
+        return [(a + 1, b + 1, k, e) for a, b, k, e in surface_factors(surface, q_max)]
+
+    monkeypatch.setattr(formulas, "_surface_factors", shifted)
+
+
+def _patch_moduli_dimension(monkeypatch):
+    monkeypatch.setattr(formulas, "moduli_dimension", lambda m: 2 * m + 4)
+
+
+@pytest.mark.parametrize(
+    "patch, kinds",
+    (
+        (_patch_nested_factor, ("incidence", "im1")),
+        (_patch_surface_factors, ("hilb", "incidence", "im1")),
+        (_patch_moduli_dimension, ("im1",)),
+    ),
+    ids=("nested-factor-without-st", "surface-factors-shifted", "moduli-dimension-off-by-one"),
+)
+def test_poincare_duality_rejects_bugs_the_euler_check_misses(monkeypatch, capsys, patch, kinds):
+    patch(monkeypatch)
+    for kind, geometry, series in _registry_series("k3", 4):
+        if kind in kinds:
+            assert series.euler_sequence() == euler_sequence(kind, geometry, 4)
+            with pytest.raises(RuntimeError, match="Poincare duality"):
+                verify_series(kind, geometry, series)
+    for kind in kinds:
+        genus = ("--genus", "1") if kind == "im1" else ()
+        assert cli.main(["series", kind, "--surface", "k3", *genus, "--qmax", "4"]) == 3
+        assert "Poincare duality" in capsys.readouterr().err
+
+
+def test_poincare_duality_rejects_an_edited_coefficient():
+    # +1 at s t and -1 at s^2 t^2 of q^3 keep the s/t symmetry and the Euler
+    # numbers, but not the mirror (i, j) -> (d - i, d - j).
+    for kind, geometry, series in _registry_series("k3", 4):
+        coeffs = list(series.coefficients)
+        terms = dict(coeffs[3].terms)
+        terms[1, 1] = terms.get((1, 1), 0) + 1
+        terms[2, 2] = terms.get((2, 2), 0) - 1
+        coeffs[3] = BivariatePolynomial(terms)
+        with pytest.raises(RuntimeError, match="Poincare duality"):
+            verify_series(kind, geometry, TruncatedSeries(coeffs))
+        if kind != "hilb":
+            # 1 - s t at q^0 has Euler number 0 and is symmetric in s and t.
+            coeffs = [BivariatePolynomial({(0, 0): 1, (1, 1): -1}), *series.coefficients[1:]]
+            with pytest.raises(RuntimeError, match="q\\^0 coefficient fails the Poincare duality"):
+                verify_series(kind, geometry, TruncatedSeries(coeffs))
 
 
 def test_verify_series_rejects_an_unknown_kind():

@@ -9,7 +9,10 @@ from fiberdt.polyseries import (
     TruncatedSeries,
     series_product,
 )
-from series_reference import mul, one, padded, poly_mul, scaled
+from fiberdt import formulas, polyseries
+from fiberdt.cli import HODGE_CAP
+from fiberdt.geometry import HodgeDiamond, registry_lookup
+from series_reference import coefficient_majorant, mul, one, padded, poly_mul, scaled, transposed
 
 ONE = BivariatePolynomial({(0, 0): 1})
 ZERO = BivariatePolynomial()
@@ -116,9 +119,9 @@ def test_poly_ring_axioms(a, b, c):
 
 
 @given(polys, polys)
-def test_swap_variables_is_multiplicative(a, b):
-    assert (a * b).swap_variables() == a.swap_variables() * b.swap_variables()
-    assert a.swap_variables().swap_variables() == a
+def test_transposing_s_and_t_is_multiplicative(a, b):
+    assert transposed(a * b) == transposed(a) * transposed(b)
+    assert transposed(transposed(a)) == a
 
 
 # --- truncated series -------------------------------------------------------
@@ -212,14 +215,6 @@ def random_poly(rng):
     )
 
 
-def coefficient_majorant(factors, q_max):
-    """Largest coefficient up to q^q_max of the product of (1 - q^k) ** (-|e|)."""
-    product = one(q_max)
-    for _, _, k, e in factors:
-        product = mul(product, hand_factor(0, 0, k, abs(e), q_max))
-    return max(c.terms.get((0, 0), 0) for c in product.coefficients)
-
-
 def test_series_product_matches_generic_multiplication():
     # Reference: the generic series product of factors expanded by hand.  The
     # fixed cases pin |e| > q_max / k, k > q_max, e = 0, a repeated factor and
@@ -305,6 +300,31 @@ def test_series_product_matches_generic_multiplication():
             assert 0 not in coefficient.terms.values()
 
 
+def test_slot_bound_is_the_former_majorant():
+    # The engine sizes its slots by its own product at s = t = 1, in the
+    # scalar layout; the former univariate recurrence gives the same value.
+    # Seeded lists mix negative exponents, exponents up to the Hodge-number
+    # cap and k above q_max; the surface lists are those of the CLI requests.
+    rng = random.Random(20261021)
+    cases = []
+    for _ in range(80):
+        cap = HODGE_CAP if rng.random() < 0.25 else 30
+        factors = [
+            (rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 60), rng.choice((-1, 1)) * rng.randint(1, cap))
+            for _ in range(rng.randint(1, 8))
+        ]
+        cases.append((factors, rng.randint(0, 50)))
+    dense = HodgeDiamond([[1, HODGE_CAP, HODGE_CAP], [HODGE_CAP] * 3, [HODGE_CAP, HODGE_CAP, 1]])
+    for surface, q_max in ((registry_lookup("k3"), 21), (registry_lookup("abelian"), 50), (dense, 50)):
+        cases.append((list(formulas._surface_factors(surface, q_max)), q_max))
+    for factors, q_max in cases:
+        kept = [f for f in factors if f[2] <= q_max]
+        assert polyseries._coefficient_majorant(kept, q_max) == coefficient_majorant(factors, q_max), (
+            factors,
+            q_max,
+        )
+
+
 @pytest.mark.parametrize("factor", [(1, 1, -2, 1), (-1, 0, 1, 1), (0, -1, 1, 1), (-1, 0, 9, 1), (0, -1, 9, 0)])
 def test_series_product_rejects_invalid_factors(factor):
     # Checked for every factor, also those above the truncation order.
@@ -330,4 +350,4 @@ def test_series_product_swap_covariance(factors):
     q_max = 5
     swapped_factors = [(b, a, k, e) for (a, b, k, e) in factors]
     swapped = series_product(swapped_factors, q_max).coefficients
-    assert tuple(c.swap_variables() for c in series_product(factors, q_max).coefficients) == swapped
+    assert tuple(map(transposed, series_product(factors, q_max).coefficients)) == swapped
