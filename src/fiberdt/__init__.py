@@ -12,7 +12,8 @@ The package computes, in exact integer arithmetic:
 
 Every analytic formula is paired with an independent brute-force route
 (partition enumeration at the Euler level, direct integer recurrences for
-specializations, re-substitution for linear solves).
+specializations, and for Hom solves the kernel solved one torus weight at a
+time).
 """
 
 # Every public name is loaded from its submodule on first access (PEP 562),

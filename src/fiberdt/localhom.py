@@ -25,8 +25,13 @@ Multiplying by a cofactor is injective, so every constraint row either sets
 one unknown to zero, ``(u,)``, or equates two, ``(u, v)``.  Each component of
 that equality graph with no zeroed unknown is one basis map
 (``linalg.nullspace``): it sends each generator to the sum of the basis
-monomials of its unknowns in the component.  A solve builds the rows once;
-the spanning check in :func:`verify_hom_solution` reads the same rows.
+monomials of its unknowns in the component.
+
+The torus of C^3 grades the same system (Nakajima, Lectures on Hilbert
+Schemes of Points on Surfaces, Prop. 5.8): the unknown for generator g and
+basis monomial m has weight m - g, and a syzygy pair with lcm L lands its
+unknowns of weight w on L + w.  :func:`verify_hom_solution` solves the system
+that way, one weight at a time, sharing no code with the rows or the kernel.
 """
 
 from __future__ import annotations
@@ -106,17 +111,17 @@ class MonomialIdeal(namedtuple("MonomialIdeal", ("gens",))):
         return super().__new__(cls, gens)
 
     @classmethod
-    def from_json(cls, triples, d_max: int | None = None) -> "MonomialIdeal":
-        """Build from a JSON list of exponent triples; with ``d_max``, one over
-        the size cap at ``d_max`` is refused before the minimality scan."""
+    def from_json(cls, triples, d_max: int = 0) -> "MonomialIdeal":
+        """Build from a JSON list of exponent triples.  One over the size cap
+        at ``d_max`` is refused before the minimality scan; one over it at
+        D = 0 is over it at every D."""
         if not isinstance(triples, list) or not all(isinstance(t, list) for t in triples):
             raise ValueError("ideal document must be a list of exponent triples")
         if len(triples) > SIZE_CAP:
             raise ValueError(f"{len(triples)} generators exceed the size cap {SIZE_CAP}")
         gens = tuple(tuple(t) for t in triples)
-        if d_max is not None:
-            _check_triples(gens)
-            _check_size(gens, d_max)
+        _check_triples(gens)
+        _check_size(gens, d_max)
         return cls(gens)
 
     def to_json(self) -> list[list[int]]:
@@ -251,97 +256,74 @@ def hom_dimension(ideal: MonomialIdeal, d_max: int) -> HomSolution:
     indicator of a connected component of the equalities that holds no
     zeroed unknown.  Ideals whose size (generators x w1 box x w2 box x
     (d_max + guard + 1)) exceeds :data:`SIZE_CAP` are rejected with a
-    ValueError before any enumeration.
+    ValueError before any enumeration.  Basis maps that
+    :func:`verify_hom_solution` rejects raise RuntimeError.
     """
     gens = ideal.gens
     _check_size(gens, d_max)
     basis = standard_monomials(ideal, d_max)
     n_basis = len(basis)
-    rows = _constraint_rows(ideal, basis)
     basis_maps = []
-    for component in linalg.nullspace(rows, len(gens) * n_basis):
+    for component in linalg.nullspace(_constraint_rows(ideal, basis), len(gens) * n_basis):
         images: list[list[int]] = [[] for _ in gens]
         for unknown in component:  # sorted, so each image comes out sorted
             g, b = divmod(unknown, n_basis)
             images[g].append(b)
         basis_maps.append(tuple(map(tuple, images)))
     solution = HomSolution(ideal, d_max, basis, tuple(basis_maps))
-    if not verify_hom_solution(solution, rows):
-        raise RuntimeError("solved basis maps fail re-substitution or do not span the kernel")
+    if not verify_hom_solution(solution):
+        raise RuntimeError("solved basis maps are not the kernel solved one torus weight at a time")
     return solution
 
 
-def _apply_map(ideal: MonomialIdeal, basis: tuple[Monomial, ...], image, mult: Monomial):
-    """Multiply one generator's image by a cofactor, in the quotient: the set
-    of product monomials outside the ideal (no two coincide)."""
-    out = set()
-    for b in image:
-        mono = basis[b]
-        prod = (mono[0] + mult[0], mono[1] + mult[1], mono[2] + mult[2])
-        if not ideal.contains_monomial(prod):
-            out.add(prod)
-    return out
+def verify_hom_solution(solution: HomSolution) -> bool:
+    """Solve the Hom system again, one torus weight w at a time, and compare.
 
-
-def _spans_kernel(solution: HomSolution, rows) -> bool:
-    """Whether the basis maps are the components of the equality ``rows``
-    that hold no zeroed unknown, each once: a breadth-first search sharing
-    no code with ``linalg.nullspace``."""
-    n = solution.n_unknowns
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    zeroed = set()
-    for row in rows:
-        if len(row) == 1:
-            zeroed.add(row[0])
-        else:
-            neighbours[row[0]].append(row[1])
-            neighbours[row[1]].append(row[0])
-    kernel = set()
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        component = [start]
-        for u in component:  # grows while it is read: breadth first
-            for v in neighbours[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    component.append(v)
-        if zeroed.isdisjoint(component):
-            kernel.add(frozenset(component))
-    n_basis = len(solution.basis)
-    maps = [
-        frozenset(g * n_basis + b for g, image in enumerate(images) for b in image)
-        for images in solution.basis_maps
-    ]
-    return len(maps) == len(kernel) and set(maps) == kernel
-
-
-def verify_hom_solution(solution: HomSolution, rows=None) -> bool:
-    """Re-substitute every basis map into every syzygy constraint, and check
-    that the maps span the kernel: each is one connected component of the
-    equality ``rows`` (the solve's :func:`_constraint_rows`, built here when
-    omitted), and every unknown in no map is joined to a zeroed one.
-
-    Returns True when all of this holds exactly.
+    Generator g's unknown at w is the coefficient of g + w, when that is a
+    basis monomial.  A syzygy pair with lcm L equates its two unknowns, or
+    zeroes the one it has, when L + w is a standard monomial; by the guard
+    argument of the module docstring, the standard monomials up to w3-degree
+    ``d_max + guard`` hold every such L + w.  So a weight has at most one
+    unknown per generator, and each connected set with no zeroed unknown is
+    one map.  Returns True when the basis is :func:`standard_monomials` at
+    ``d_max`` and the basis maps are exactly these maps, each once.
     """
-    if rows is None:
-        rows = _constraint_rows(solution.ideal, solution.basis)
-    if not _spans_kernel(solution, rows):
+    ideal, d_max = solution.ideal, solution.d_max
+    gens = ideal.gens
+    guard = max(g[2] for g in gens) - min(g[2] for g in gens)
+    window = standard_monomials(ideal, d_max + guard)
+    basis = tuple(mono for mono in window if mono[2] <= d_max)
+    if basis != solution.basis:
         return False
-    ideal, basis = solution.ideal, solution.basis
-    # Both cofactors of every syzygy pair, computed once for all basis maps.
-    sides = [
-        [(g, tuple(l - e for l, e in zip(lcm, ideal.gens[g]))) for g in pair]
-        for pair, lcm in syzygy_pairs(ideal)
-    ]
-    for images in solution.basis_maps:
-        for (gi, mult_i), (gj, mult_j) in sides:
-            lhs = _apply_map(ideal, basis, images[gi], mult_i)
-            if lhs != _apply_map(ideal, basis, images[gj], mult_j):
-                return False
-    return True
+    standard = set(window)
+    by_weight: dict[Monomial, dict[int, int]] = {}  # weight -> {generator: basis index}
+    for b, mono in enumerate(basis):
+        for g, gen in enumerate(gens):
+            weight = (mono[0] - gen[0], mono[1] - gen[1], mono[2] - gen[2])
+            by_weight.setdefault(weight, {})[g] = b
+    pairs = syzygy_pairs(ideal)
+    kernel = set()
+    for w, unknowns in by_weight.items():
+        label = {g: g for g in unknowns}  # generator -> its connected set's label
+        zeroed = []
+        for (i, j), lcm in pairs:
+            if i not in unknowns and j not in unknowns:
+                continue
+            if (lcm[0] + w[0], lcm[1] + w[1], lcm[2] + w[2]) not in standard:
+                continue  # L + w lies in the ideal: the constraint is 0 = 0
+            if j not in unknowns:
+                zeroed.append(i)
+            elif i not in unknowns:
+                zeroed.append(j)
+            else:
+                old, new = label[i], label[j]
+                for g, l in label.items():
+                    if l == old:
+                        label[g] = new
+        for kept in set(label.values()).difference(label[g] for g in zeroed):
+            images = ((unknowns[g],) if label.get(g) == kept else () for g in range(len(gens)))
+            kernel.add(tuple(images))
+    return len(solution.basis_maps) == len(kernel) and set(solution.basis_maps) == kernel
 
 
 def tangent_jump_report(d_max: int) -> dict:

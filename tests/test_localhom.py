@@ -148,7 +148,7 @@ def test_rank_plus_nullity():
 
 def test_hom_dimension_eliminates_once(monkeypatch):
     # One solve builds its constraint rows once and eliminates them once; the
-    # spanning check reads the rows the elimination read.
+    # weight check does neither.
     calls = []
     nullspace = linalg.nullspace
 
@@ -170,6 +170,17 @@ def test_hom_dimension_eliminates_once(monkeypatch):
         hom_dimension(ideal, d)
         assert len(calls) == 1, ideal
         assert len(builds) == 1, ideal
+
+
+def test_verify_builds_no_rows_and_no_kernel(monkeypatch):
+    solution = hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 3)
+
+    def refused(*_):
+        raise AssertionError("the weight check must not call the solve's routes")
+
+    monkeypatch.setattr(linalg, "nullspace", refused)
+    monkeypatch.setattr(localhom, "_constraint_rows", refused)
+    assert verify_hom_solution(solution)
 
 
 def test_basis_maps_verify_and_are_independent():
@@ -207,6 +218,13 @@ def test_verify_rejects_a_dropped_or_added_basis_index():
     assert not verify_hom_solution(edited(solution, v, g, tuple(sorted(image + (const_idx,)))))
 
 
+def test_verify_rejects_a_basis_truncated_below_d_max():
+    # The maps of a D = 1 solve are the kernel of the rows built on their own
+    # basis; the weight check solves over the quotient basis at d_max, so it
+    # sees the lost top degree.
+    assert not verify_hom_solution(hom_dimension(LINE_IDEAL, 1)._replace(d_max=2))
+
+
 def merging_a_zeroed_component(monkeypatch):
     """Patch ``linalg.nullspace`` to merge a zeroed unknown's component (one
     that no kernel vector holds) into the first kept component."""
@@ -223,7 +241,7 @@ def merging_a_zeroed_component(monkeypatch):
 
 def test_hom_dimension_raises_when_a_map_fails_resubstitution(monkeypatch):
     merging_a_zeroed_component(monkeypatch)
-    with pytest.raises(RuntimeError, match="re-substitution"):
+    with pytest.raises(RuntimeError, match="one torus weight at a time"):
         hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 1)
 
 
@@ -234,7 +252,7 @@ def test_cli_exits_3_when_a_map_fails_resubstitution(monkeypatch, tmp_path, caps
     path.write_text(json.dumps(LINE_WITH_EMBEDDED_POINT_IDEAL.to_json()))
     merging_a_zeroed_component(monkeypatch)
     assert cli.main(["localhom", "--dmax", "1", "--ideal-file", str(path)]) == 3
-    assert "re-substitution" in capsys.readouterr().err
+    assert "one torus weight at a time" in capsys.readouterr().err
 
 
 def patched_nullspace(monkeypatch, edit):
@@ -252,10 +270,11 @@ def patched_nullspace(monkeypatch, edit):
     ),
 )
 def test_hom_dimension_raises_when_the_maps_do_not_span_the_kernel(monkeypatch, edit):
-    # A sum of two kernel vectors, or a kernel short of one vector, passes
-    # re-substitution; only the spanning check sees it.
+    # A sum of two kernel vectors, a kernel short of one vector or one with a
+    # vector twice satisfies every constraint, but is not the kernel solved
+    # one weight at a time.
     patched_nullspace(monkeypatch, edit)
-    with pytest.raises(RuntimeError, match="do not span the kernel"):
+    with pytest.raises(RuntimeError, match="one torus weight at a time"):
         hom_dimension(LINE_WITH_EMBEDDED_POINT_IDEAL, 1)
 
 
@@ -460,9 +479,9 @@ def test_kernel_changing_rows_are_those_whose_removal_drops_the_rank(d):
     ),
 )
 def test_resubstitution_catches_every_row_the_builder_drops(monkeypatch, gens, d, n_rows, n_changing):
-    # The elimination and the spanning check both read _constraint_rows, so
-    # only re-substitution, which multiplies the images out itself, sees a
-    # row missing from it.  A redundant row may go without changing a map.
+    # The elimination reads _constraint_rows and the weight check does not,
+    # so the weight check sees a row missing from it.  A redundant row may go
+    # without changing a map.
     ideal = MonomialIdeal(gens)
     solution = hom_dimension(ideal, d)
     rows = _constraint_rows(ideal, solution.basis)
@@ -472,10 +491,38 @@ def test_resubstitution_catches_every_row_the_builder_drops(monkeypatch, gens, d
         dropped = rows[:r] + rows[r + 1 :]
         monkeypatch.setattr(localhom, "_constraint_rows", lambda *_: dropped)
         if r in changing:
-            with pytest.raises(RuntimeError, match="re-substitution"):
+            with pytest.raises(RuntimeError, match="one torus weight at a time"):
                 hom_dimension(ideal, d)
         else:
             assert hom_dimension(ideal, d) == solution
+
+
+@pytest.mark.parametrize(
+    "gens, d",
+    (
+        (LINE_IDEAL.gens, 2),
+        (LINE_WITH_EMBEDDED_POINT_IDEAL.gens, 2),
+        (((3, 0, 0), (2, 1, 0), (0, 2, 0), (1, 1, 1)), 3),
+    ),
+)
+def test_the_weight_check_catches_every_row_the_builder_adds(monkeypatch, gens, d):
+    # A spurious row that zeroes an unknown of a kept map drops the map, and
+    # one that joins two kept maps merges them.  Either leaves a solution
+    # that satisfies every true constraint, so only a check that does not
+    # read _constraint_rows sees it.
+    ideal = MonomialIdeal(gens)
+    solution = hom_dimension(ideal, d)
+    rows = _constraint_rows(ideal, solution.basis)
+    n_basis = len(solution.basis)
+    firsts = [
+        next(g * n_basis + image[0] for g, image in enumerate(images) if image)
+        for images in solution.basis_maps
+    ]
+    added = [(u,) for u in firsts] + list(zip(firsts, firsts[1:]))
+    for row in added:
+        monkeypatch.setattr(localhom, "_constraint_rows", lambda *_: rows + [row])
+        with pytest.raises(RuntimeError, match="one torus weight at a time"):
+            hom_dimension(ideal, d)
 
 
 def test_every_constraint_product_is_zero_or_standard(monkeypatch):
@@ -561,6 +608,19 @@ def test_size_cap_rejects_before_enumerating():
         hom_dimension(deep, 0)
     with pytest.raises(ValueError, match="generators"):
         MonomialIdeal.from_json([[a, SIZE_CAP - a, 0] for a in range(SIZE_CAP + 1)])
+
+
+def test_from_json_refuses_an_oversized_ideal_before_the_minimality_scan(monkeypatch):
+    # Without d_max the cap is checked at D = 0, where it is smallest, so a
+    # library caller gets the size error before the quadratic scan.
+    antichain = [[a, SIZE_CAP - 1 - a, 0] for a in range(SIZE_CAP)]
+
+    def scanned(*_):
+        raise AssertionError("the minimality scan ran")
+
+    monkeypatch.setattr(localhom, "_divides", scanned)
+    with pytest.raises(ValueError, match="ideal size .* at d_max 0 exceeds the cap"):
+        MonomialIdeal.from_json(antichain)
 
 
 # --- degree-0 vertex of C^3 ------------------------------------------------------

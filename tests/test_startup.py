@@ -316,10 +316,19 @@ def test_public_names_match_the_source_map():
 # --- the benchmark tracer ---------------------------------------------------------
 
 
+# Counters the tracer must record, by subcommand: four solves (both built-in
+# models at D = 1 and 2) for localhom.  A renamed function would read 0 here
+# instead of failing.
+TRACER_COUNTS = {"localhom": {"localhom.rows": 40, "localhom.solves": 4, "localhom.unknowns": 55}}
+
+
 @pytest.mark.parametrize(
     "argv, spans",
     (
-        (("localhom", "--dmax", "2", "--format", "json"), {"localhom.hom", "linalg.nullspace"}),
+        (
+            ("localhom", "--dmax", "2", "--format", "json"),
+            {"localhom.hom", "localhom.rows", "localhom.verify", "linalg.nullspace"},
+        ),
         (
             ("series", "hilb", "--surface", "k3", "--qmax", "5", "--format", "json"),
             {"formulas.euler_direct", "polyseries.product", "polyseries.symmetry"},
@@ -344,8 +353,10 @@ def test_tracer_wraps_the_lazily_imported_functions(tmp_path, argv, spans):
     assert traced.returncode == 0, traced.stderr
     assert plain.returncode == 0, plain.stderr
     assert traced.stdout == plain.stdout
-    names = {span[0] for span in json.loads(spans_file.read_text())["spans"]}
-    assert spans <= names
+    document = json.loads(spans_file.read_text())
+    assert spans <= {span[0] for span in document["spans"]}
+    counts = TRACER_COUNTS.get(argv[0], {})
+    assert {name: document["counts"].get(name) for name in counts} == counts
 
 
 def test_tracer_reads_a_cache_hit_like_the_plain_run(tmp_path):
